@@ -42,8 +42,6 @@
 #include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
 #include "isa/interpreter.hh"
-#include "legacy_analyzers.hh"
-#include "legacy_fitness.hh"
 #include "methodology/genetic_selector.hh"
 #include "methodology/workload_space.hh"
 #include "mica/ilp.hh"
@@ -219,70 +217,6 @@ void BM_FullProfileBatched(benchmark::State &s)
 
 BENCHMARK(BM_FullProfilePerRecord);
 BENCHMARK(BM_FullProfileBatched);
-
-/**
- * The seed baseline: all six PR-1 analyzer implementations (node
- * containers, two-pass PPM, modulo ILP) driven record-at-a-time —
- * what one full profile cost before this change. The key-subset
- * variant drops PPM, mirroring which families the Table IV subset
- * needs.
- */
-struct LegacyAnalyzerSet
-{
-    legacy::InstMixAnalyzer mix;
-    legacy::IlpAnalyzer ilp;
-    legacy::RegTrafficAnalyzer rt;
-    legacy::WorkingSetAnalyzer ws;
-    legacy::StrideAnalyzer st;
-    legacy::PpmBranchAnalyzer ppm{8};
-
-    void
-    addTo(AnalysisEngine &eng, bool keyOnly)
-    {
-        eng.add(&mix);
-        eng.add(&ilp);
-        eng.add(&rt);
-        eng.add(&ws);
-        eng.add(&st);
-        if (!keyOnly)
-            eng.add(&ppm);
-    }
-};
-
-/** One record-at-a-time run of the frozen seed analyzer set. */
-void
-runSeedOnce(VectorTraceSource &src, bool keyOnly)
-{
-    LegacyAnalyzerSet set;
-    AnalysisEngine eng;
-    set.addTo(eng, keyOnly);
-    src.reset();
-    eng.runPerRecord(src);
-    benchmark::DoNotOptimize(&eng);
-}
-
-template <bool KeyOnly>
-void
-runSeedBaseline(benchmark::State &state)
-{
-    VectorTraceSource src(sharedTrace());
-    for (auto _ : state)
-        runSeedOnce(src, KeyOnly);
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(sharedTrace().size()));
-}
-
-void BM_FullProfileSeedBaseline(benchmark::State &s)
-{
-    runSeedBaseline<false>(s);
-}
-void BM_KeySubsetSeedBaseline(benchmark::State &s)
-{
-    runSeedBaseline<true>(s);
-}
-
-BENCHMARK(BM_FullProfileSeedBaseline);
-BENCHMARK(BM_KeySubsetSeedBaseline);
 
 /** Full 47-characteristic collection over a registry benchmark. */
 void
@@ -484,24 +418,6 @@ methodologyMasks()
     }();
     return masks;
 }
-
-void
-BM_GaFitnessSeed(benchmark::State &state)
-{
-    legacy::FitnessEval eval(methodologySpace());
-    for (auto _ : state) {
-        double acc = 0.0;
-        // Clone the engine so every iteration starts with a cold memo,
-        // like the masks of one fresh GA generation.
-        legacy::FitnessEval fresh = eval;
-        for (uint64_t m : methodologyMasks())
-            acc += fresh(m).first;
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(methodologyMasks().size()));
-}
-BENCHMARK(BM_GaFitnessSeed);
 
 void
 BM_GaFitnessEngine(benchmark::State &state)
@@ -794,28 +710,6 @@ collectRate(VectorTraceSource &src, size_t engineBatch, bool keyOnly)
             ? collectMicaProfileSubset(src, "x", keySubset(), cfg)
             : collectMicaProfile(src, "x", cfg);
         benchmark::DoNotOptimize(p.values[0]);
-    });
-}
-
-/** Time the frozen seed implementations (see legacy_analyzers.hh). */
-Summary
-seedBaselineRate(VectorTraceSource &src, bool keyOnly)
-{
-    return rateSummary(src.size(), [&] { runSeedOnce(src, keyOnly); });
-}
-
-/** Masks/sec of the frozen seed fitness engine (cold memo per rep). */
-Summary
-seedFitnessRate()
-{
-    const auto &masks = methodologyMasks();
-    legacy::FitnessEval proto(methodologySpace());
-    return rateSummary(masks.size(), [&] {
-        legacy::FitnessEval eval = proto;
-        double acc = 0.0;
-        for (uint64_t m : masks)
-            acc += eval(m).first;
-        benchmark::DoNotOptimize(acc);
     });
 }
 
@@ -1368,10 +1262,8 @@ writeJsonProfile(const std::string &path, double obsRef,
     }
 
     if (on("engine")) {
-        const Summary fullSeed = seedBaselineRate(src, false);
         const Summary fullPerRecord = collectRate(src, 0, false);
         const Summary fullB = fullBatched();
-        const Summary keySeed = seedBaselineRate(src, true);
         const Summary keyPerRecord = collectRate(src, 0, true);
         const Summary keyBatched = collectRate(
             src, AnalysisEngine::kDefaultBatchSize, true);
@@ -1379,32 +1271,25 @@ writeJsonProfile(const std::string &path, double obsRef,
         os.precision(17);
         os << "{\n      \"units\": \"records_per_sec\",\n"
            << "      \"full_profile\": {\n"
-           << "        \"seed_baseline\": ";
-        emitSummary(os, fullSeed);
-        os << ",\n        \"per_record\": ";
+           << "        \"per_record\": ";
         emitSummary(os, fullPerRecord);
         os << ",\n        \"batched\": ";
         emitSummary(os, fullB);
-        os << ",\n        \"speedup_vs_seed\": " << ratio(fullB, fullSeed)
-           << "\n      },\n      \"key_subset\": {\n"
-           << "        \"seed_baseline\": ";
-        emitSummary(os, keySeed);
-        os << ",\n        \"per_record\": ";
+        os << "\n      },\n      \"key_subset\": {\n"
+           << "        \"per_record\": ";
         emitSummary(os, keyPerRecord);
         os << ",\n        \"batched\": ";
         emitSummary(os, keyBatched);
-        os << ",\n        \"speedup_vs_seed\": "
-           << ratio(keyBatched, keySeed) << "\n      }\n    }";
+        os << "\n      }\n    }";
         fams.emplace_back("engine", os.str());
     }
 
     if (on("methodology")) {
-        // GA fitness stage (masks/sec, frozen seed vs current engine
-        // vs 8-job fan-out), whole-GA generations/sec, and clustering
-        // K-sweeps/sec. The 8-job numbers only beat serial on
-        // multi-core machines; the host block records the CPU count.
+        // GA fitness stage (masks/sec, serial vs 8-job fan-out),
+        // whole-GA generations/sec, and clustering K-sweeps/sec.
+        // The 8-job numbers only beat serial on multi-core machines;
+        // the host block records the CPU count.
         const FitnessEval methodologyEval(methodologySpace());
-        const Summary fitSeed = seedFitnessRate();
         const Summary fitSerial =
             engineFitnessRate(methodologyEval, nullptr);
         const Summary fitJobs8 =
@@ -1417,15 +1302,11 @@ writeJsonProfile(const std::string &path, double obsRef,
         os.precision(17);
         os << "{\n      \"workers\": 8,\n"
            << "      \"ga_fitness_masks_per_sec\": {\n"
-           << "        \"seed_baseline\": ";
-        emitSummary(os, fitSeed);
-        os << ",\n        \"serial\": ";
+           << "        \"serial\": ";
         emitSummary(os, fitSerial);
         os << ",\n        \"jobs8\": ";
         emitSummary(os, fitJobs8);
-        os << ",\n        \"speedup_vs_seed\": " << ratio(fitJobs8, fitSeed)
-           << ",\n        \"serial_speedup_vs_seed\": "
-           << ratio(fitSerial, fitSeed) << "\n      },\n"
+        os << "\n      },\n"
            << "      \"ga_generations_per_sec\": {\n"
            << "        \"serial\": ";
         emitSummary(os, gaSerial);

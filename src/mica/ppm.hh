@@ -12,7 +12,10 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "trace/trace_source.hh"
@@ -20,117 +23,6 @@
 
 namespace mica
 {
-
-/**
- * Open-addressing pattern table specialized for PPM context counters.
- *
- * One 8-byte slot holds everything a context needs — bit 63 marks the
- * slot used, bits 62..4 are a 59-bit fingerprint (the low 59 bits of
- * the already-hashed context key), bits 3..0 a biased saturating
- * counter — so a table of N contexts costs half the bytes of a
- * key/value/flag slot layout and packs 8 slots per cache line. With
- * GAs/PAs growing to ~10^5 contexts per table, table bytes are the
- * profiling bottleneck, not instruction count.
- *
- * The 5 dropped key bits make aliasing *possible* (two contexts whose
- * 64-bit keys agree in the low 59 bits would share a counter), with
- * probability ~2^-59 per context pair — the standard partial-tag
- * trade-off of hardware pattern tables. Keys are pre-mixed by
- * PpmPredictor::key(), so the low bits carry full entropy and index
- * the table directly.
- */
-class PpmContextTable
-{
-  public:
-    /** @return number of live contexts. */
-    size_t size() const { return size_; }
-
-    /** Hint the CPU to pull the key's home slot into cache. */
-    void
-    prefetch(uint64_t key) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        if (!slots_.empty())
-            __builtin_prefetch(&slots_[key & mask_]);
-#endif
-    }
-
-    /**
-     * Read the context's counter, then apply one saturating step
-     * toward rail (+kMax for taken, -kMax for not taken).
-     *
-     * @return the counter value *before* the update — the evidence a
-     *         PPM prediction is made from. Missing contexts read 0
-     *         and are inserted.
-     */
-    int8_t
-    updateSaturating(uint64_t key, int8_t delta, int8_t rail)
-    {
-        growIfNeeded();
-        const uint64_t tagged = kUsed | ((key & kFpMask) << kCtrBits);
-        for (size_t i = key & mask_;; i = (i + 1) & mask_) {
-            uint64_t &s = slots_[i];
-            if (s == 0) {
-                // New context: pre-update evidence is 0, counter
-                // steps off zero (never saturates).
-                s = tagged | static_cast<uint64_t>(kBias + delta);
-                ++size_;
-                return 0;
-            }
-            if ((s & ~kCtrMask) == tagged) {
-                const int8_t pre =
-                    static_cast<int8_t>(s & kCtrMask) - kBias;
-                const int8_t next = pre == rail
-                    ? pre : static_cast<int8_t>(pre + delta);
-                s = (s & ~kCtrMask) |
-                    static_cast<uint64_t>(next + kBias);
-                return pre;
-            }
-        }
-    }
-
-  private:
-    static constexpr unsigned kCtrBits = 4;
-    static constexpr uint64_t kCtrMask = (1ull << kCtrBits) - 1;
-    static constexpr int8_t kBias = 8;
-    static constexpr uint64_t kUsed = 1ull << 63;
-    static constexpr uint64_t kFpMask = (1ull << 59) - 1;
-    static constexpr size_t kMinCapacity = 16;
-
-    void
-    growIfNeeded()
-    {
-        if (slots_.empty())
-            rehash(kMinCapacity);
-        else if ((size_ + 1) * 10 > slots_.size() * 7)
-            rehash(slots_.size() * 2);
-    }
-
-    void
-    rehash(size_t newCap)
-    {
-        std::vector<uint64_t> old = std::move(slots_);
-        slots_.assign(newCap, 0);
-        mask_ = newCap - 1;
-        for (uint64_t s : old) {
-            if (s == 0)
-                continue;
-            // The stored fingerprint contains the low key bits the
-            // index is derived from.
-            const uint64_t keyLow = (s >> kCtrBits) & kFpMask;
-            for (size_t i = keyLow & mask_;; i = (i + 1) & mask_) {
-                if (slots_[i] == 0) {
-                    slots_[i] = s;
-                    break;
-                }
-            }
-        }
-    }
-
-    std::vector<uint64_t> slots_;
-    size_t size_ = 0;
-    size_t mask_ = 0;
-};
 
 /**
  * One PPM predictor instance.
@@ -147,6 +39,13 @@ class PpmContextTable
  * counter is non-zero; all context orders are updated afterwards
  * (non-exclusive update). Unseen contexts fall through; a completely
  * cold branch predicts taken.
+ *
+ * Pattern tables are dense: an order-k context is its k low history
+ * bits, so slot (1 << k) | (history & ((1 << k) - 1)) gives every
+ * context of orders 0..maxOrder its own counter in one block of
+ * 2 << maxOrder bytes, with no tags and no collisions. The shared
+ * variants own one block; the per-branch variants own one block per
+ * static branch, allocated the first time the branch is seen.
  */
 class PpmPredictor
 {
@@ -154,125 +53,98 @@ class PpmPredictor
     enum class History { Global, PerAddress };
     enum class Tables { Shared, PerBranch };
 
+    /** Deepest supported context: an 8 KiB block per table. */
+    static constexpr unsigned kMaxOrder = 12;
+
+    /** @throws std::invalid_argument when maxOrder > kMaxOrder. */
     PpmPredictor(History hist, Tables tables, unsigned maxOrder = 8)
-        : hist_(hist), tables_(tables), maxOrder_(maxOrder),
-          ctx_(maxOrder + 1), keyBuf_(maxOrder + 1)
-    {}
+        : hist_(hist), tables_(tables), maxOrder_(checkedOrder(maxOrder)),
+          blockSize_(size_t{2} << maxOrder_)
+    {
+        if (tables_ == Tables::Shared)
+            ctr_.assign(blockSize_, 0);
+    }
 
     /**
      * Predict the branch at pc, then update with the actual outcome.
      * @return the prediction made before the update.
      *
-     * Prediction and update are fused into one table walk: each
-     * (order, context) counter is touched exactly once per branch, so
-     * reading it just before updating it observes the same pre-update
-     * evidence the original find-then-update formulation saw — half
-     * the hash lookups, bit-identical miss rates. Keys are computed up
-     * front and their slots prefetched so the per-order cache misses
-     * overlap instead of serializing.
+     * Prediction and update are fused into one walk: each context
+     * counter is read just before it is updated, so the walk sees
+     * the same pre-update evidence a separate predict pass would.
      */
     bool
     predictAndUpdate(uint64_t pc, bool taken)
     {
-        if (!prepared_ || preparedPc_ != pc)
-            prepare(pc);
-        prepared_ = false;
+        uint64_t *hist = &ghist_;
+        size_t base = 0;
+        if (hist_ == History::PerAddress || tables_ == Tables::PerBranch) {
+            const uint32_t id = branchId(pc);
+            if (hist_ == History::PerAddress)
+                hist = &lhist_[id];
+            if (tables_ == Tables::PerBranch)
+                base = size_t{id} * blockSize_;
+        }
+        int8_t *block = ctr_.data() + base;
 
+        const uint64_t h = *hist;
         bool prediction = true;     // cold default: predict taken
         bool decided = false;
         const int8_t delta = taken ? 1 : -1;
         const int8_t rail = taken ? kCtrMax : -kCtrMax;
-        for (int k = static_cast<int>(maxOrder_); k >= 0; --k) {
-            const int8_t pre =
-                ctx_[k].updateSaturating(keyBuf_[k], delta, rail);
+        for (unsigned k = maxOrder_ + 1; k-- > 0;) {
+            const size_t top = size_t{1} << k;
+            int8_t &ctr = block[top | (h & (top - 1))];
+            const int8_t pre = ctr;
             if (!decided && pre != 0) {
                 prediction = pre > 0;
                 decided = true;
             }
+            if (pre != rail)
+                ctr = static_cast<int8_t>(pre + delta);
         }
 
-        pushHistory(pc, taken);
+        *hist = (h << 1) | (taken ? 1 : 0);
         return prediction;
-    }
-
-    /**
-     * Compute the keys and hashes a predictAndUpdate(pc, ...) call
-     * will use and prefetch their context slots. Callers running
-     * several predictors over the same branch issue every predictor's
-     * prepare() first so the table misses overlap instead of
-     * serializing per predictor; the following predictAndUpdate(pc)
-     * then reuses the buffered keys and hashes. Purely a performance
-     * hint — predictAndUpdate() recomputes them when not prepared.
-     */
-    void
-    prepare(uint64_t pc)
-    {
-        const uint64_t history = currentHistory(pc);
-        for (int k = static_cast<int>(maxOrder_); k >= 0; --k) {
-            keyBuf_[k] = key(pc, history, k);
-            ctx_[k].prefetch(keyBuf_[k]);
-        }
-        prepared_ = true;
-        preparedPc_ = pc;
-    }
-
-
-    unsigned maxOrder() const { return maxOrder_; }
-
-    /** @return total pattern-table entries across all orders. */
-    size_t
-    tableEntries() const
-    {
-        size_t n = 0;
-        for (const auto &m : ctx_)
-            n += m.size();
-        return n;
     }
 
   private:
     static constexpr int8_t kCtrMax = 4;
 
-    uint64_t
-    currentHistory(uint64_t pc) const
+    static unsigned
+    checkedOrder(unsigned maxOrder)
     {
-        if (hist_ == History::Global)
-            return ghist_;
-        const uint64_t *h = lhist_.find(pc);
-        return h ? *h : 0;
+        if (maxOrder > kMaxOrder)
+            throw std::invalid_argument(
+                "PPM max order " + std::to_string(maxOrder) +
+                " exceeds the supported maximum of " +
+                std::to_string(kMaxOrder));
+        return maxOrder;
     }
 
-    void
-    pushHistory(uint64_t pc, bool taken)
+    /** Dense id of the static branch at pc, allocating its state. */
+    uint32_t
+    branchId(uint64_t pc)
     {
-        if (hist_ == History::Global) {
-            ghist_ = (ghist_ << 1) | (taken ? 1 : 0);
-        } else {
-            uint64_t &h = lhist_[pc];
-            h = (h << 1) | (taken ? 1 : 0);
+        const auto [id, inserted] =
+            ids_.tryEmplace(pc, static_cast<uint32_t>(ids_.size()));
+        if (inserted) {
+            if (hist_ == History::PerAddress)
+                lhist_.push_back(0);
+            if (tables_ == Tables::PerBranch)
+                ctr_.resize(ctr_.size() + blockSize_, 0);
         }
-    }
-
-    /** Mix (order, masked history, optional pc) into a table key. */
-    uint64_t
-    key(uint64_t pc, uint64_t history, int order) const
-    {
-        const uint64_t h =
-            order > 0 ? (history & ((1ull << order) - 1)) : 0;
-        uint64_t k = h * 0x9e3779b97f4a7c15ull;
-        if (tables_ == Tables::PerBranch)
-            k ^= pc * 0xc2b2ae3d27d4eb4full;
-        return k ^ (static_cast<uint64_t>(order) << 56);
+        return *id;
     }
 
     History hist_;
     Tables tables_;
     unsigned maxOrder_;
-    std::vector<PpmContextTable> ctx_;
-    std::vector<uint64_t> keyBuf_;  ///< per-call key scratch (no alloc)
-    bool prepared_ = false;         ///< keyBuf_ valid for
-    uint64_t preparedPc_ = 0;       ///< this pc
+    size_t blockSize_;              ///< counters per table: 2 << maxOrder
+    std::vector<int8_t> ctr_;       ///< one block, or one per branch
     uint64_t ghist_ = 0;
-    util::FlatHashMap<uint64_t, uint64_t, util::MulHash> lhist_;
+    std::vector<uint64_t> lhist_;   ///< per-branch history, by id
+    util::FlatHashMap<uint64_t, uint32_t, util::MulHash> ids_;
 };
 
 /**
@@ -286,6 +158,10 @@ class PpmBranchAnalyzer : public TraceAnalyzer
 
     static constexpr size_t kNumVariants = 4;
 
+    /**
+     * @throws std::invalid_argument when maxOrder exceeds
+     *         PpmPredictor::kMaxOrder.
+     */
     explicit PpmBranchAnalyzer(unsigned maxOrder = 8)
         : gag_(PpmPredictor::History::Global,
                PpmPredictor::Tables::Shared, maxOrder),
@@ -321,12 +197,6 @@ class PpmBranchAnalyzer : public TraceAnalyzer
         if (!rec.isCondBranch())
             return;
         ++branches_;
-        // All four variants' slots first, then the four walks: the
-        // table misses of 4 x (maxOrder + 1) lookups overlap.
-        gag_.prepare(rec.pc);
-        pag_.prepare(rec.pc);
-        gas_.prepare(rec.pc);
-        pas_.prepare(rec.pc);
         miss_[0] += gag_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
         miss_[1] += pag_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
         miss_[2] += gas_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace mica::service
@@ -164,6 +165,10 @@ JsonValue::dumpTo(std::string &out) const
             out.append(buf, r.ptr);
         } else if (!std::isfinite(num_)) {
             out += "null";
+        } else if (num_ == 0.0) {
+            // Both zeros print "0": "-0" would reparse as the integer
+            // 0, so dump(parse(dump(-0.0))) would differ from dump.
+            out += '0';
         } else {
             // Shortest round-trip form: the same double always
             // serializes to the same bytes, which is what makes the
@@ -508,8 +513,22 @@ class Parser
         double dv = 0.0;
         const auto r =
             std::from_chars(tok.data(), tok.data() + tok.size(), dv);
-        if (r.ec != std::errc() || r.ptr != tok.data() + tok.size())
+        if (r.ec == std::errc::result_out_of_range) {
+            // from_chars leaves dv unset; strtod (same grammar for a
+            // token already checked above, in the C locale the
+            // program never changes) tells which side: a literal
+            // below the least subnormal is a zero of its sign, one
+            // above the largest double is an error.
+            const double v = std::strtod(tok.c_str(), nullptr);
+            if (std::isinf(v)) {
+                pos_ = start;
+                return fail("number out of range");
+            }
+            dv = std::copysign(0.0, v);
+        } else if (r.ec != std::errc() ||
+                   r.ptr != tok.data() + tok.size()) {
             return fail("unparseable number");
+        }
         *out = JsonValue::number(dv);
         return true;
     }

@@ -96,9 +96,10 @@ class JsonValue
 
     /**
      * Serialize canonically: no whitespace, insertion-order members,
-     * shortest-round-trip numbers. NaN/Inf (which JSON cannot carry)
-     * render as null — the engine never produces them, but a
-     * serializer that can emit unparseable output is a latent bug.
+     * shortest-round-trip numbers, both zeros as "0". NaN/Inf (which
+     * JSON cannot carry) render as null — the engine never produces
+     * them, but a serializer that can emit unparseable output is a
+     * latent bug.
      */
     std::string dump() const;
 
@@ -119,6 +120,8 @@ class JsonValue
 /**
  * Parse one JSON document. The whole input must be consumed (trailing
  * garbage is an error); leading/trailing ASCII whitespace is allowed.
+ * A number below the least subnormal parses as a zero of its sign;
+ * one above the largest double is rejected as out of range.
  * @param err on failure, a one-line reason with the byte offset
  * @return the document, or no value (err set)
  */

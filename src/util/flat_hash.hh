@@ -4,7 +4,7 @@
  *
  * std::unordered_map/set allocate one node per element and chase at
  * least one pointer per lookup. The analyzer hot loops do one or more
- * lookups per dynamic instruction (PPM context tables, working-set
+ * lookups per dynamic instruction (PPM per-branch ids, working-set
  * block/page sets, per-PC stride tables, the interpreter's page
  * table), so node allocation and pointer chasing dominate profiling
  * time. These containers keep all slots in one contiguous
@@ -73,7 +73,7 @@ struct MulHash
 
 /**
  * Identity hash policy for keys that are *already* well mixed (e.g.,
- * the PPM context keys, which are built by multiplicative hashing).
+ * keys built by multiplicative hashing).
  * Multiplying by an odd constant is bijective on the low bits used
  * for indexing, so such keys need no second mix.
  */

@@ -64,7 +64,8 @@ TEST(FlatHashMapTest, BracketValueInitializesMissingEntries)
 
 TEST(FlatHashMapTest, ZeroKeyIsAnOrdinaryKey)
 {
-    // PPM order-0 contexts hash to key 0; it must behave like any key.
+    // Zero is a natural key (address 0, the first dense id); it must
+    // behave like any other key, not mark an empty slot.
     FlatHashMap<uint64_t, uint64_t> m;
     EXPECT_EQ(m.find(0), nullptr);
     m[0] = 17;

@@ -74,6 +74,49 @@ TEST(JsonTest, NanAndInfinityRenderAsNull)
         "null");
 }
 
+TEST(JsonTest, DumpIsAFixedPointOfParseThenDump)
+{
+    // "-0" would reparse as the integer 0 and dump as "0", so both
+    // zeros must dump as "0" for the canonical form to be stable.
+    JsonValue arr = JsonValue::array();
+    arr.push(JsonValue::number(-0.0));
+    const JsonValue docs[] = {
+        JsonValue::number(-0.0),
+        arr,
+        JsonValue::number(5e-324),
+        JsonValue::number(1e300),
+        JsonValue::number(0.1),
+        JsonValue::number(-12.5),
+    };
+    for (const JsonValue &doc : docs) {
+        const std::string once = doc.dump();
+        EXPECT_EQ(reserialized(once), once);
+    }
+    EXPECT_EQ(JsonValue::number(-0.0).dump(), "0");
+    EXPECT_EQ(reserialized("-0.0"), "0");
+    EXPECT_EQ(reserialized("[-0.0]"), "[0]");
+}
+
+TEST(JsonTest, UnderflowParsesAsSignedZeroOverflowRejects)
+{
+    const JsonValue tiny = parsed("1e-400");
+    EXPECT_EQ(tiny.asDouble(), 0.0);
+    EXPECT_FALSE(std::signbit(tiny.asDouble()));
+    const JsonValue negTiny = parsed("-1e-400");
+    EXPECT_EQ(negTiny.asDouble(), 0.0);
+    EXPECT_TRUE(std::signbit(negTiny.asDouble()));
+    EXPECT_EQ(negTiny.dump(), "0");
+    EXPECT_EQ(reserialized("[-0.0e-400,1e-400]"), "[0,0]");
+
+    for (const char *huge : {"1e400", "-1e400"}) {
+        JsonValue v;
+        std::string err;
+        EXPECT_FALSE(parseJson(huge, &v, &err)) << huge;
+        EXPECT_NE(err.find("number out of range"), std::string::npos)
+            << err;
+    }
+}
+
 TEST(JsonTest, ObjectMembersKeepInsertionOrder)
 {
     JsonValue o = JsonValue::object();

@@ -4,6 +4,14 @@
  * (Table II characteristics 1-47).
  */
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mica/ilp.hh"
@@ -536,15 +544,108 @@ TEST(PpmTest, MissRatesAreProbabilities)
     }
 }
 
-TEST(PpmPredictorTest, TableGrowsWithDistinctContexts)
+/**
+ * Exact-context PPM reference: every (order, masked history, pc)
+ * context is its own std::map entry, so no two contexts can share a
+ * counter. The analyzer must match it miss for miss.
+ */
+struct ReferencePpm
 {
-    PpmPredictor p(PpmPredictor::History::Global,
-                   PpmPredictor::Tables::Shared, 4);
-    Rng rng(5);
-    for (int i = 0; i < 1000; ++i)
-        p.predictAndUpdate(0x100, rng.chance(0.5));
-    EXPECT_GT(p.tableEntries(), 16u);
-    EXPECT_EQ(p.maxOrder(), 4u);
+    bool perAddress;
+    bool perBranch;
+    unsigned maxOrder;
+    std::map<std::tuple<unsigned, uint64_t, uint64_t>, int> ctr;
+    std::map<uint64_t, uint64_t> lhist;
+    uint64_t ghist = 0;
+    uint64_t misses = 0;
+
+    void
+    step(uint64_t pc, bool taken)
+    {
+        uint64_t &hist = perAddress ? lhist[pc] : ghist;
+        bool prediction = true;
+        bool decided = false;
+        for (unsigned k = maxOrder + 1; k-- > 0;) {
+            const uint64_t ctx = hist & ((uint64_t{1} << k) - 1);
+            int &c = ctr[{k, ctx, perBranch ? pc : 0}];
+            if (!decided && c != 0) {
+                prediction = c > 0;
+                decided = true;
+            }
+            c = taken ? std::min(c + 1, 4) : std::max(c - 1, -4);
+        }
+        misses += prediction != taken;
+        hist = (hist << 1) | (taken ? 1 : 0);
+    }
+};
+
+/**
+ * Seeded branch stream over 64 static branches, each either biased
+ * or periodic, visited by a random walk so global histories mix
+ * branches the way loops and calls do.
+ */
+std::vector<InstRecord>
+mixedBranchStream(uint64_t seed, size_t n)
+{
+    constexpr size_t kBranches = 64;
+    Rng rng(seed);
+    std::vector<double> bias(kBranches);
+    std::vector<uint64_t> period(kBranches), visits(kBranches);
+    for (size_t b = 0; b < kBranches; ++b) {
+        bias[b] = rng.unit();
+        period[b] = rng.chance(0.5) ? 0 : 2 + rng.below(14);
+    }
+    std::vector<InstRecord> recs;
+    size_t b = 0;
+    for (size_t i = 0; i < n; ++i) {
+        b = rng.chance(0.7) ? (b + 1) % kBranches : rng.below(kBranches);
+        const uint64_t v = visits[b]++;
+        const bool taken = period[b]
+            ? v % period[b] < period[b] / 2 : rng.chance(bias[b]);
+        recs.push_back(test::branch(0x4000 + 4 * b, taken));
+    }
+    return recs;
+}
+
+TEST(PpmTest, MatchesExactContextReferenceModel)
+{
+    for (uint64_t seed : {11u, 12u}) {
+        const auto recs = mixedBranchStream(seed, 12000);
+        for (unsigned order : {0u, 1u, 4u, 8u, 12u}) {
+            PpmBranchAnalyzer ppm(order);
+            ReferencePpm ref[] = {{false, false, order},
+                                  {true, false, order},
+                                  {false, true, order},
+                                  {true, true, order}};
+            for (const auto &r : recs) {
+                ppm.accept(r);
+                for (auto &m : ref)
+                    m.step(r.pc, r.taken);
+            }
+            ppm.finish();
+            const double n = static_cast<double>(ppm.branches());
+            const double rates[] = {ppm.missRateGAg(), ppm.missRatePAg(),
+                                    ppm.missRateGAs(), ppm.missRatePAs()};
+            ASSERT_EQ(ppm.branches(), recs.size());
+            for (size_t v = 0; v < PpmBranchAnalyzer::kNumVariants; ++v)
+                EXPECT_EQ(std::llround(rates[v] * n),
+                          static_cast<long long>(ref[v].misses))
+                    << "seed " << seed << " order " << order
+                    << " variant " << v;
+        }
+    }
+}
+
+TEST(PpmTest, RejectsOrdersAboveTwelve)
+{
+    EXPECT_NO_THROW(PpmBranchAnalyzer(12));
+    try {
+        PpmBranchAnalyzer ppm(13);
+        FAIL() << "order 13 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("13"), std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
