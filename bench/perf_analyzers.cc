@@ -347,29 +347,19 @@ BM_TraceRecord(benchmark::State &state)
 BENCHMARK(BM_TraceRecord);
 
 /** Full 47-characteristic collection replayed from the trace file. */
-template <bool Streamed>
 void
-BM_TraceReplayProfile(benchmark::State &state)
+BM_TraceReplay(benchmark::State &state)
 {
     const std::string &path = recordedTracePath();
     for (auto _ : state) {
-        auto src = openTraceFile(path, Streamed);
+        auto src = openTraceFile(path);
         const MicaProfile p = collectMicaProfile(*src, "x", {});
         benchmark::DoNotOptimize(p.values[0]);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(sharedTrace().size()));
 }
-void BM_TraceReplayMmap(benchmark::State &s)
-{
-    BM_TraceReplayProfile<false>(s);
-}
-void BM_TraceReplayStream(benchmark::State &s)
-{
-    BM_TraceReplayProfile<true>(s);
-}
-BENCHMARK(BM_TraceReplayMmap);
-BENCHMARK(BM_TraceReplayStream);
+BENCHMARK(BM_TraceReplay);
 
 // ----------------------------------------------------------------------
 // Methodology engine (GA fitness, clustering sweep) benchmarks.
@@ -764,15 +754,14 @@ clusterSweepRate(mica::pipeline::ThreadPool *pool)
 
 /**
  * trace_replay family: one registry program, one record stream —
- * profile it from the interpreter vs from a recorded trace file, so
- * the ratio isolates what the trace source itself costs (record =
- * interpret + write; replay = read instead of interpret; open cost,
- * including the full checksum validation pass, is in the loop).
+ * profile it from the interpreter, and time recording it (interpret
+ * + write, no analyzers). Replaying the recorded file is measured by
+ * the trace_v2 family (v1_stream_replay, v2_stream_replay).
  */
 struct TraceReplayRates
 {
     uint64_t records = 0;
-    Summary interp, record, stream, mmap;
+    Summary interp, record;
 };
 
 TraceReplayRates
@@ -827,16 +816,6 @@ traceReplayRates()
             n += got;
         w.close();
         benchmark::DoNotOptimize(n);
-    });
-    r.stream = rateSummary(r.records, [&] {
-        FileTraceSource src(path);
-        const MicaProfile p = collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
-    });
-    r.mmap = rateSummary(r.records, [&] {
-        MappedTraceSource src(path);
-        const MicaProfile p = collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
     });
     std::filesystem::remove(path);
     std::filesystem::remove(path + ".rec");
@@ -1334,12 +1313,7 @@ writeJsonProfile(const std::string &path, double obsRef,
         emitSummary(os, trr.interp);
         os << ",\n        \"recording\": ";
         emitSummary(os, trr.record);
-        os << ",\n        \"stream_replay\": ";
-        emitSummary(os, trr.stream);
-        os << ",\n        \"mmap_replay\": ";
-        emitSummary(os, trr.mmap);
-        os << ",\n        \"mmap_speedup_vs_interp\": "
-           << ratio(trr.mmap, trr.interp) << "\n      }\n    }";
+        os << "\n      }\n    }";
         fams.emplace_back("trace_replay", os.str());
     }
 

@@ -102,22 +102,21 @@ collectSuiteDataset(const DatasetConfig &cfg)
         throw std::invalid_argument(
             "traceDir and traceFiles are mutually exclusive");
     if (!cfg.traceDir.empty() || !cfg.traceFiles.empty()) {
-        // Scan-time quarantine: a corrupt or short trace file is
-        // reported and skipped; the rest of the sweep proceeds. The
+        // Scan-time quarantine: a trace whose header is bad or short
+        // of the budget is reported and skipped; the rest of the
+        // sweep proceeds (a corrupt payload fails its jobs later). The
         // directory iterator's order is filesystem-dependent, so sort
         // the report to keep it deterministic across runs and hosts.
         std::vector<std::pair<std::string, std::string>> badFiles;
         traceEntries =
             cfg.traceDir.empty()
                 ? workloads::traceBenchmarksFromFiles(
-                      cfg.traceFiles, cfg.traceStream, cfg.maxInsts,
-                      &traceStamp, &badFiles,
+                      cfg.traceFiles, cfg.maxInsts, &traceStamp,
+                      &badFiles,
                       cfg.traceLabel.empty() ? "trace set"
                                              : cfg.traceLabel)
-                : workloads::traceBenchmarks(cfg.traceDir,
-                                             cfg.traceStream,
-                                             cfg.maxInsts, &traceStamp,
-                                             &badFiles);
+                : workloads::traceBenchmarks(cfg.traceDir, cfg.maxInsts,
+                                             &traceStamp, &badFiles);
         std::sort(badFiles.begin(), badFiles.end());
         for (auto &bad : badFiles)
             ds.failures.push_back({std::move(bad.first), "scan",
@@ -349,8 +348,6 @@ configFromArgs(int argc, char **argv)
             cfg.suites = splitCommas(arg + 9);
         else if (std::strncmp(arg, "--traces=", 9) == 0)
             cfg.traceDir = arg + 9;
-        else if (std::strncmp(arg, "--reader=", 9) == 0)
-            cfg.traceStream = std::strcmp(arg + 9, "stream") == 0;
         else if (std::strncmp(arg, "--max-failures=", 15) == 0)
             cfg.maxFailures = std::strtoull(arg + 15, nullptr, 10);
         else if (std::strcmp(arg, "--quick") == 0)

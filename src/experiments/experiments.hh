@@ -58,14 +58,20 @@ struct DatasetConfig
      * (see workloads::traceBenchmarks) instead of interpreting the
      * registry kernels. Replayed profiles are byte-identical to
      * interpreting the same programs directly. The profile-store key
-     * carries the directory plus a digest of the trace contents, so
-     * re-recorded files re-profile instead of hitting a stale cache.
-     * Throws TraceFileError when the directory is missing or two
-     * files map to one benchmark name. A file that is corrupt,
-     * version-mismatched, or shorter than a nonzero maxInsts (the
-     * replay would silently come up short) is quarantined instead —
-     * reported in SuiteDataset::failures, subject to maxFailures —
-     * and replay never silently falls back to interpretation.
+     * carries the directory plus a digest of the trace headers'
+     * record counts and payload checksums, so re-recorded files
+     * re-profile instead of hitting a stale cache; a store hit
+     * replays nothing and serves the profiles of the content those
+     * headers name. Throws TraceFileError when the directory is
+     * missing or two files map to one benchmark name. A file whose
+     * header is bad, version-mismatched, or shorter than a nonzero
+     * maxInsts (the replay would silently come up short) is
+     * quarantined at scan time; a file whose payload is corrupt
+     * fails its replay jobs (each job reads the trace to its end and
+     * checks the checksum there) and is quarantined at job time.
+     * Either way it is reported in SuiteDataset::failures, subject to
+     * maxFailures, and replay never silently falls back to
+     * interpretation.
      */
     std::string traceDir;
 
@@ -88,13 +94,6 @@ struct DatasetConfig
     std::string traceLabel;
 
     /**
-     * Replay through the streamed FileTraceSource instead of the
-     * default mmap-backed reader. Byte-identical output either way,
-     * so (like jobs) this is not part of the store key.
-     */
-    bool traceStream = false;
-
-    /**
      * Profiling worker threads (1 = serial on the calling thread,
      * 0 = one per hardware thread). Output is bit-identical for every
      * value; this only changes wall-clock time.
@@ -105,8 +104,9 @@ struct DatasetConfig
     pipeline::ProgressFn progress;
 
     /**
-     * Fault-isolation cap: a benchmark whose trace fails validation
-     * at scan time, or whose profiling job throws, is quarantined
+     * Fault-isolation cap: a benchmark whose trace header fails at
+     * scan time, or whose profiling job throws (a corrupt trace
+     * payload included), is quarantined
      * (reported in SuiteDataset::failures, excluded from the
      * dataset) instead of aborting the sweep — up to this many.
      * Exceeding the cap throws pipeline::SweepAborted after the pool
@@ -157,9 +157,8 @@ SuiteDataset collectSuiteDataset(const DatasetConfig &cfg = {});
  * Parse harness flags shared by the bench executables:
  * --budget=N (maxInsts), --cache=DIR, --jobs=N (0 = auto),
  * --quick (reduced budget), --suites=A,B (suite filter),
- * --traces=DIR (replay recorded traces), --reader=stream|mmap
- * (trace reader choice), --max-failures=N (fault-isolation cap,
- * see DatasetConfig::maxFailures). Environment overrides: MICA_BUDGET,
+ * --traces=DIR (replay recorded traces), --max-failures=N
+ * (fault-isolation cap, see DatasetConfig::maxFailures). Environment overrides: MICA_BUDGET,
  * MICA_CACHE, MICA_JOBS, MICA_TRACES. Unrecognized arguments are
  * ignored so google-benchmark flags pass through.
  */

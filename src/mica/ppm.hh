@@ -46,6 +46,10 @@ namespace mica
  * 2 << maxOrder bytes, with no tags and no collisions. The shared
  * variants own one block; the per-branch variants own one block per
  * static branch, allocated the first time the branch is seen.
+ *
+ * Static branches arrive as dense ids (0, 1, 2, ... in first-seen
+ * order) that the caller assigns once per branch for all four
+ * variants, so no predictor keeps its own pc lookup.
  */
 class PpmPredictor
 {
@@ -66,7 +70,9 @@ class PpmPredictor
     }
 
     /**
-     * Predict the branch at pc, then update with the actual outcome.
+     * Predict static branch @p id, then update with the actual
+     * outcome. Ids are dense: a new branch's id is one past the
+     * highest seen so far.
      * @return the prediction made before the update.
      *
      * Prediction and update are fused into one walk: each context
@@ -74,16 +80,19 @@ class PpmPredictor
      * the same pre-update evidence a separate predict pass would.
      */
     bool
-    predictAndUpdate(uint64_t pc, bool taken)
+    predictAndUpdate(uint32_t id, bool taken)
     {
         uint64_t *hist = &ghist_;
         size_t base = 0;
-        if (hist_ == History::PerAddress || tables_ == Tables::PerBranch) {
-            const uint32_t id = branchId(pc);
-            if (hist_ == History::PerAddress)
-                hist = &lhist_[id];
-            if (tables_ == Tables::PerBranch)
-                base = size_t{id} * blockSize_;
+        if (hist_ == History::PerAddress) {
+            if (id == lhist_.size())
+                lhist_.push_back(0);
+            hist = &lhist_[id];
+        }
+        if (tables_ == Tables::PerBranch) {
+            base = size_t{id} * blockSize_;
+            if (base == ctr_.size())
+                ctr_.resize(ctr_.size() + blockSize_, 0);
         }
         int8_t *block = ctr_.data() + base;
 
@@ -122,21 +131,6 @@ class PpmPredictor
         return maxOrder;
     }
 
-    /** Dense id of the static branch at pc, allocating its state. */
-    uint32_t
-    branchId(uint64_t pc)
-    {
-        const auto [id, inserted] =
-            ids_.tryEmplace(pc, static_cast<uint32_t>(ids_.size()));
-        if (inserted) {
-            if (hist_ == History::PerAddress)
-                lhist_.push_back(0);
-            if (tables_ == Tables::PerBranch)
-                ctr_.resize(ctr_.size() + blockSize_, 0);
-        }
-        return *id;
-    }
-
     History hist_;
     Tables tables_;
     unsigned maxOrder_;
@@ -144,7 +138,6 @@ class PpmPredictor
     std::vector<int8_t> ctr_;       ///< one block, or one per branch
     uint64_t ghist_ = 0;
     std::vector<uint64_t> lhist_;   ///< per-branch history, by id
-    util::FlatHashMap<uint64_t, uint32_t, util::MulHash> ids_;
 };
 
 /**
@@ -197,10 +190,13 @@ class PpmBranchAnalyzer : public TraceAnalyzer
         if (!rec.isCondBranch())
             return;
         ++branches_;
-        miss_[0] += gag_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
-        miss_[1] += pag_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
-        miss_[2] += gas_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
-        miss_[3] += pas_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
+        // One lookup per branch serves all four variants.
+        const uint32_t id = *ids_.tryEmplace(
+            rec.pc, static_cast<uint32_t>(ids_.size())).first;
+        miss_[0] += gag_.predictAndUpdate(id, rec.taken) != rec.taken;
+        miss_[1] += pag_.predictAndUpdate(id, rec.taken) != rec.taken;
+        miss_[2] += gas_.predictAndUpdate(id, rec.taken) != rec.taken;
+        miss_[3] += pas_.predictAndUpdate(id, rec.taken) != rec.taken;
     }
 
     double
@@ -211,6 +207,8 @@ class PpmBranchAnalyzer : public TraceAnalyzer
     }
 
     PpmPredictor gag_, pag_, gas_, pas_;
+    /** Dense static-branch id of each conditional branch pc. */
+    util::FlatHashMap<uint64_t, uint32_t, util::MulHash> ids_;
     uint64_t branches_ = 0;
     uint64_t miss_[kNumVariants] = {};
 };

@@ -218,7 +218,9 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
         // two characterizations — same behavior (and cost) as the
         // original serial sweep. Trace-backed entries substitute
         // their replay source for the interpreter; the records are
-        // the same stream either way, so the profiles are too.
+        // the same stream either way, so the profiles are too. Each
+        // trace job drains its source, so a budget that stops short
+        // of the recording still has the whole payload verified.
         for (size_t i = 0; i < entries.size(); ++i) {
             const auto &e = *entries[i];
             bool micaJob = true;
@@ -230,6 +232,7 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
                         checkAnalyzeFault(e.info.fullName());
                         results[i].mica =
                             collectMicaProfile(*src, e.info.fullName(), rc);
+                        drainSource(*src);
                     }
                     prog.tick(e.info.fullName() + " [mica]");
                     micaJob = false;
@@ -238,6 +241,7 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
                     JobObs jo(e.info.fullName(), "hpc");
                     results[i].hpc = uarch::collectHwProfile(
                         *src, e.info.fullName(), rc.maxInsts);
+                    drainSource(*src);
                 } else {
                     const isa::Program program = e.build();
                     isa::Interpreter interp(program);
@@ -284,7 +288,9 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
         if (e->source) {
             // Trace-backed entries have nothing to share: each job
             // opens its own (cheap) replay source, so the two jobs
-            // never contend on a read cursor.
+            // never contend on a read cursor. Each job drains its
+            // source before its result counts: the payload checksum
+            // is only known at the end of the trace.
             futures.push_back(pool.submit([e, &rc, &results, &prog,
                                            &finishJob, &handleJobError, i] {
                 try {
@@ -294,6 +300,7 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
                         checkAnalyzeFault(e->info.fullName());
                         results[i].mica =
                             collectMicaProfile(*src, e->info.fullName(), rc);
+                        drainSource(*src);
                     }
                     prog.tick(e->info.fullName() + " [mica]");
                 } catch (...) {
@@ -309,6 +316,7 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
                         JobObs jo(e->info.fullName(), "hpc");
                         results[i].hpc = uarch::collectHwProfile(
                             *src, e->info.fullName(), rc.maxInsts);
+                        drainSource(*src);
                     }
                     prog.tick(e->info.fullName() + " [hpc]");
                 } catch (...) {

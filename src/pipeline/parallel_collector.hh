@@ -27,7 +27,8 @@ namespace mica::pipeline
 
 /**
  * One quarantined benchmark: which one, which phase gave up on it
- * ("scan" for trace validation, "mica"/"hpc" for a profiling job),
+ * ("scan" for a trace's header checks, "mica"/"hpc" for a profiling
+ * job, which also verifies a replayed trace's payload),
  * and the error message. Reports are deterministic: failures are
  * listed in input (registry) order regardless of worker count.
  */
@@ -88,6 +89,11 @@ using ResultFn = std::function<void(const StoredProfile &)>;
  * @return one StoredProfile per entry, in input order. Results are
  * bit-identical for any worker count: each job is a pure function of
  * its benchmark and @p rc.
+ *
+ * A trace-backed entry's job drains its source to the end before its
+ * result counts, even when rc.maxInsts stopped the analyzers earlier,
+ * so the replayed payload is verified (checksum included) and a
+ * corrupt trace fails the job instead of reaching a profile.
  *
  * Failure handling depends on @p policy. Without isolation, the first
  * exception thrown by a job is rethrown on the calling thread after

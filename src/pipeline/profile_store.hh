@@ -42,11 +42,12 @@ struct StoreKey
     /**
      * Trace-replay source (empty = interpret registry kernels).
      * Callers set it to "<dir>#<content-digest>" — the digest covers
-     * every trace file's name and payload checksum, so re-recording a
-     * trace invalidates the store instead of silently serving
-     * profiles of the old bytes. The reader kind (mmap vs streamed)
-     * is deliberately *not* part of the key — profiles are
-     * byte-identical either way, like engineBatch.
+     * every trace file's name and the record count and payload
+     * checksum its header claims, so re-recording a trace invalidates
+     * the store instead of silently serving profiles of the old
+     * bytes. A hit replays nothing: it serves the profiles of the
+     * content those headers name, which a replay job verified (to the
+     * checksum) before the profiles were stored.
      */
     std::string traceDir;
 

@@ -1,8 +1,5 @@
 #include "trace/trace_file.hh"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -54,15 +51,10 @@ struct ChunkHeaderV2
     uint64_t payloadBytes = 0;  ///< sum of colBytes
 };
 
-/**
- * Validate the 32 raw bytes of a v2 chunk header. @p remaining is the
- * payload left in the file after this header; @p what distinguishes
- * the probe ("corrupt chunk header at payload offset N") from the
- * replay-path guard ("chunk header changed after open").
- */
+/** Parse and check the 32 raw bytes of a v2 chunk header. */
 ChunkHeaderV2
 checkChunkHeaderV2(const char *raw, uint64_t remaining,
-                   const std::string &path, const std::string &what)
+                   const std::string &path, uint64_t offset)
 {
     uint32_t magic = 0;
     ChunkHeaderV2 ch;
@@ -75,14 +67,13 @@ checkChunkHeaderV2(const char *raw, uint64_t remaining,
         ch.count > kMaxChunkRecordsV2 ||
         ch.payloadBytes > kMaxChunkPayloadV2 ||
         ch.payloadBytes > remaining)
-        throw TraceFileError(path, what);
+        throw TraceFileError(path, "corrupt chunk header at payload "
+                                   "offset " + std::to_string(offset));
     return ch;
 }
 
 static_assert(std::is_trivially_copyable<InstRecord>::value,
               "trace files store raw InstRecord bytes");
-static_assert(alignof(InstRecord) <= 8,
-              "chunk layout only guarantees 8-byte record alignment");
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
@@ -133,6 +124,23 @@ rethrowTraceIo(const util::IoError &e)
 }
 
 /**
+ * Read exactly @p n bytes; end of file reports @p truncated, an OS
+ * error keeps its errno.
+ */
+void
+readChunkBytes(util::CheckedFile &in, void *buf, size_t n,
+               const std::string &path, const char *truncated)
+{
+    try {
+        in.readExact(buf, n);
+    } catch (const util::IoError &e) {
+        if (e.code() == 0)
+            throw TraceFileError(path, truncated);
+        rethrowTraceIo(e);
+    }
+}
+
+/**
  * Act on an armed read-path failpoint: stall for Delay, simulate a
  * crash for Abort, otherwise fail the read with the injected errno.
  */
@@ -159,16 +167,14 @@ checkReadFailpoint(const char *site, const std::string &path,
 }
 
 /**
- * Parse and check everything a 48-byte header buffer alone can prove;
- * chunk-chain checks need the file size and are done by
- * probeTraceFile.
+ * Parse and check everything a 48-byte header buffer alone can prove
+ * once its magic matched; the size check needs the file and is done
+ * by the FileTraceSource constructor.
  */
 void
 checkHeaderBytes(const char *buf, const std::string &path,
                  TraceHeader &h)
 {
-    if (std::memcmp(buf, kTraceMagic, sizeof(kTraceMagic)) != 0)
-        throw TraceFileError(path, "not a mica trace file (bad magic)");
     std::memcpy(&h.version, buf + 8, sizeof(h.version));
     std::memcpy(&h.recordBytes, buf + 12, sizeof(h.recordBytes));
     std::memcpy(&h.layoutHash, buf + 16, sizeof(h.layoutHash));
@@ -196,8 +202,8 @@ checkHeaderBytes(const char *buf, const std::string &path,
 
 /**
  * Incremental FNV-1a folding 8 bytes per step (then byte-at-a-time
- * for the tail). Word-wise keeps the open-time validation pass at a
- * small fraction of replay cost instead of dominating it; detection
+ * for the tail). Word-wise keeps the checksum fold at a small
+ * fraction of replay cost instead of dominating it; detection
  * strength is equivalent for the flipped-bits/truncation corruption
  * this guards against.
  */
@@ -227,139 +233,12 @@ probeTraceFile(const std::string &path)
     static obs::Histogram validateUs("trace.probe.validate_us");
     obs::ObsSpan sp("trace.probe");
     const uint64_t t0 = obs::nowNs();
-    util::CheckedFile in;
-    uint64_t fileBytes = 0;
-    TraceHeader h;
-    try {
-        in = util::CheckedFile::openRead(path, "trace.probe");
-        fileBytes = in.size();
-        char hb[kTraceHeaderBytes] = {};
-        const size_t got = in.readUpTo(hb, sizeof(hb));
-        // Check the magic before the length so any non-trace file —
-        // however short — reports "not a trace", not "truncated".
-        if (got < sizeof(kTraceMagic) ||
-            std::memcmp(hb, kTraceMagic, sizeof(kTraceMagic)) != 0)
-            throw TraceFileError(path,
-                                 "not a mica trace file (bad magic)");
-        if (got < kTraceHeaderBytes)
-            throw TraceFileError(path, "truncated header");
-        checkHeaderBytes(hb, path, h);
-    } catch (const util::IoError &e) {
-        rethrowTraceIo(e);
-    }
-    if (fileBytes != kTraceHeaderBytes + h.payloadBytes)
-        throw TraceFileError(path, "truncated or oversized payload (" +
-                                       std::to_string(fileBytes) +
-                                       " bytes on disk, header claims " +
-                                       std::to_string(kTraceHeaderBytes +
-                                                      h.payloadBytes) +
-                                       ")");
-
-    // Walk the chunk chain in one sequential read: every chunk
-    // magic/count must check out, the counts must add up to exactly
-    // the header's record count, and every payload byte feeds the
-    // checksum — a flipped bit anywhere rejects the file instead of
-    // silently replaying altered records. v2 chunks are additionally
-    // decoded in full, so corruption that survives as a structurally
-    // valid column stream still rejects — and names the column.
-    TraceFileInfo info;
-    info.version = h.version;
-    info.recordCount = h.recordCount;
-    info.payloadBytes = h.payloadBytes;
-    uint64_t offset = 0;
-    uint64_t records = 0;
-    uint64_t hash = kFnvOffset;
-    if (h.version == kTraceFormatV1) {
-        std::vector<char> io(1 << 20);
-        while (offset < h.payloadBytes) {
-            if (h.payloadBytes - offset < kChunkHeaderBytes)
-                throw TraceFileError(path, "truncated chunk header");
-            uint32_t magic = 0, count = 0;
-            char ch[kChunkHeaderBytes];
-            try {
-                in.readExact(ch, sizeof(ch));
-            } catch (const util::IoError &e) {
-                if (e.code() == 0)
-                    throw TraceFileError(path, "truncated chunk header");
-                rethrowTraceIo(e);
-            }
-            std::memcpy(&magic, ch, sizeof(magic));
-            std::memcpy(&count, ch + 4, sizeof(count));
-            if (magic != kTraceChunkMagic || count == 0)
-                throw TraceFileError(path,
-                                     "corrupt chunk header at payload "
-                                     "offset " + std::to_string(offset));
-            hash = fnv1a(&magic, sizeof(magic), hash);
-            hash = fnv1a(&count, sizeof(count), hash);
-            uint64_t bytes = uint64_t(count) * sizeof(InstRecord);
-            if (h.payloadBytes - offset - kChunkHeaderBytes < bytes)
-                throw TraceFileError(path, "truncated chunk payload");
-            offset += kChunkHeaderBytes + bytes;
-            while (bytes > 0) {
-                const size_t take = static_cast<size_t>(
-                    std::min<uint64_t>(bytes, io.size()));
-                try {
-                    in.readExact(io.data(), take);
-                } catch (const util::IoError &e) {
-                    if (e.code() == 0)
-                        throw TraceFileError(path,
-                                             "truncated chunk payload");
-                    rethrowTraceIo(e);
-                }
-                hash = fnv1a(io.data(), take, hash);
-                bytes -= take;
-            }
-            records += count;
-            ++info.chunkCount;
-        }
-    } else {
-        std::vector<char> enc;
-        std::vector<InstRecord> scratch;
-        while (offset < h.payloadBytes) {
-            if (h.payloadBytes - offset < kChunkHeaderBytesV2)
-                throw TraceFileError(path, "truncated chunk header");
-            char ch[kChunkHeaderBytesV2];
-            try {
-                in.readExact(ch, sizeof(ch));
-            } catch (const util::IoError &e) {
-                if (e.code() == 0)
-                    throw TraceFileError(path, "truncated chunk header");
-                rethrowTraceIo(e);
-            }
-            const ChunkHeaderV2 hdr = checkChunkHeaderV2(
-                ch, h.payloadBytes - offset - kChunkHeaderBytesV2, path,
-                "corrupt chunk header at payload offset " +
-                    std::to_string(offset));
-            hash = fnv1a(ch, sizeof(ch), hash);
-            enc.resize(hdr.payloadBytes);
-            try {
-                in.readExact(enc.data(), enc.size());
-            } catch (const util::IoError &e) {
-                if (e.code() == 0)
-                    throw TraceFileError(path, "truncated chunk payload");
-                rethrowTraceIo(e);
-            }
-            hash = fnv1a(enc.data(), enc.size(), hash);
-            scratch.resize(hdr.count);
-            columnar::decodeChunk(enc.data(), hdr.colBytes, hdr.count,
-                                  scratch.data(), path);
-            offset += kChunkHeaderBytesV2 + hdr.payloadBytes;
-            records += hdr.count;
-            ++info.chunkCount;
-        }
-    }
-    if (records != h.recordCount)
-        throw TraceFileError(path, "record count mismatch (header says " +
-                                       std::to_string(h.recordCount) +
-                                       ", chunks hold " +
-                                       std::to_string(records) + ")");
-    if (hash != h.payloadHash)
-        throw TraceFileError(path, "payload checksum mismatch");
-    info.payloadHash = hash;
+    FileTraceSource src(path);
+    drainSource(src);
     validateUs.record((obs::nowNs() - t0) / 1000);
-    sp.arg("records", info.recordCount);
-    sp.arg("chunks", info.chunkCount);
-    return info;
+    sp.arg("records", src.info().recordCount);
+    sp.arg("chunks", src.info().chunkCount);
+    return src.info();
 }
 
 // ----------------------------------------------------------------------
@@ -447,7 +326,7 @@ TraceFileWriter::flushChunk()
         out_.writeAll(ch, sizeof(ch));
         out_.writeAll(chunk_.data(), bytes);
         // Hash magic and count as two 4-byte pieces, exactly as the
-        // probe does — FNV's word folding makes piecewise and whole
+        // reader does — FNV's word folding makes piecewise and whole
         // hashing differ.
         payloadHash_ = fnv1a(&kTraceChunkMagic, sizeof(kTraceChunkMagic),
                              payloadHash_);
@@ -513,109 +392,118 @@ TraceFileWriter::abort()
 }
 
 // ----------------------------------------------------------------------
-// FileTraceSource (streamed)
+// FileTraceSource
 // ----------------------------------------------------------------------
 
-FileTraceSource::FileTraceSource(const std::string &path,
-                                 const TraceFileInfo *known)
-    : path_(path), info_(known ? *known : probeTraceFile(path))
+FileTraceSource::FileTraceSource(const std::string &path)
+    : path_(path), hash_(kFnvOffset)
 {
-    static obs::Counter opens("trace.open.stream");
+    static obs::Counter opens("trace.open");
     opens.add(1);
+    uint64_t fileBytes = 0;
+    TraceHeader h;
     try {
         in_ = util::CheckedFile::openRead(path_, "trace.replay");
-        if (known) {
-            // The caller already validated the payload; re-check only
-            // the header so a file swapped since that scan still
-            // rejects.
-            char hb[kTraceHeaderBytes];
-            in_.readExact(hb, sizeof(hb));
-            TraceHeader h;
-            checkHeaderBytes(hb, path_, h);
-            if (info_.version == 0)
-                info_.version = h.version;  // pre-v2 probe results
-            if (h.version != info_.version ||
-                h.recordCount != info_.recordCount ||
-                h.payloadBytes != info_.payloadBytes ||
-                h.payloadHash != info_.payloadHash)
-                throw TraceFileError(path_, "file changed since it was "
-                                            "scanned");
-        } else {
-            in_.seekTo(kTraceHeaderBytes);
-        }
+        fileBytes = in_.size();
+        char hb[kTraceHeaderBytes] = {};
+        const size_t got = in_.readUpTo(hb, sizeof(hb));
+        // Check the magic before the length so any non-trace file —
+        // however short — reports "not a trace", not "truncated".
+        if (got < sizeof(kTraceMagic) ||
+            std::memcmp(hb, kTraceMagic, sizeof(kTraceMagic)) != 0)
+            throw TraceFileError(path_,
+                                 "not a mica trace file (bad magic)");
+        if (got < kTraceHeaderBytes)
+            throw TraceFileError(path_, "truncated header");
+        checkHeaderBytes(hb, path_, h);
     } catch (const util::IoError &e) {
         rethrowTraceIo(e);
     }
+    if (fileBytes != kTraceHeaderBytes + h.payloadBytes)
+        throw TraceFileError(path_, "truncated or oversized payload (" +
+                                        std::to_string(fileBytes) +
+                                        " bytes on disk, header claims " +
+                                        std::to_string(kTraceHeaderBytes +
+                                                       h.payloadBytes) +
+                                        ")");
+    info_.version = h.version;
+    info_.recordCount = h.recordCount;
+    info_.payloadBytes = h.payloadBytes;
+    info_.payloadHash = h.payloadHash;
 }
 
 bool
 FileTraceSource::refill()
 {
-    if (chunksRead_ == info_.chunkCount)
+    const uint64_t left = info_.payloadBytes - offset_;
+    if (left == 0) {
+        // End of payload: every byte read has been folded into the
+        // checksum, so this is where flipped bits surface — before
+        // the consumer is told the trace ended.
+        if (records_ != info_.recordCount)
+            throw TraceFileError(path_,
+                                 "record count mismatch (header says " +
+                                     std::to_string(info_.recordCount) +
+                                     ", chunks hold " +
+                                     std::to_string(records_) + ")");
+        if (hash_ != info_.payloadHash)
+            throw TraceFileError(path_, "payload checksum mismatch");
         return false;
+    }
     checkReadFailpoint("trace.chunk.read", path_, "chunk read");
     static obs::Counter chunks("trace.chunk.decoded");
     static obs::Counter bytes("trace.bytes.read");
-    // probeTraceFile validated the whole chain; a mismatch here means
-    // the file changed underneath us, which must not degrade into a
-    // silently short trace.
+    uint64_t chunkBytes = 0;
     if (info_.version == kTraceFormatV1) {
-        uint32_t magic = 0, count = 0;
+        if (left < kChunkHeaderBytes)
+            throw TraceFileError(path_, "truncated chunk header");
         char ch[kChunkHeaderBytes];
-        try {
-            in_.readExact(ch, sizeof(ch));
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk header changed after open");
-            rethrowTraceIo(e);
-        }
+        readChunkBytes(in_, ch, sizeof(ch), path_,
+                       "truncated chunk header");
+        uint32_t magic = 0, count = 0;
         std::memcpy(&magic, ch, sizeof(magic));
         std::memcpy(&count, ch + 4, sizeof(count));
         if (magic != kTraceChunkMagic || count == 0)
             throw TraceFileError(path_,
-                                 "chunk header changed after open");
+                                 "corrupt chunk header at payload "
+                                 "offset " + std::to_string(offset_));
+        const uint64_t recBytes = uint64_t(count) * sizeof(InstRecord);
+        if (left - kChunkHeaderBytes < recBytes)
+            throw TraceFileError(path_, "truncated chunk payload");
         buf_.resize(count);
-        try {
-            in_.readExact(buf_.data(), count * sizeof(InstRecord));
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk payload changed after open");
-            rethrowTraceIo(e);
-        }
-        bytes.add(kChunkHeaderBytes +
-                  uint64_t(count) * sizeof(InstRecord));
+        readChunkBytes(in_, buf_.data(), recBytes, path_,
+                       "truncated chunk payload");
+        // Magic and count fold as two 4-byte pieces, exactly as the
+        // writer hashed them: FNV's word folding makes piecewise and
+        // whole hashing differ.
+        hash_ = fnv1a(&magic, sizeof(magic), hash_);
+        hash_ = fnv1a(&count, sizeof(count), hash_);
+        hash_ = fnv1a(buf_.data(), recBytes, hash_);
+        chunkBytes = kChunkHeaderBytes + recBytes;
     } else {
+        if (left < kChunkHeaderBytesV2)
+            throw TraceFileError(path_, "truncated chunk header");
         char ch[kChunkHeaderBytesV2];
-        try {
-            in_.readExact(ch, sizeof(ch));
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk header changed after open");
-            rethrowTraceIo(e);
-        }
-        const ChunkHeaderV2 hdr =
-            checkChunkHeaderV2(ch, info_.payloadBytes, path_,
-                               "chunk header changed after open");
+        readChunkBytes(in_, ch, sizeof(ch), path_,
+                       "truncated chunk header");
+        const ChunkHeaderV2 hdr = checkChunkHeaderV2(
+            ch, left - kChunkHeaderBytesV2, path_, offset_);
         enc_.resize(hdr.payloadBytes);
-        try {
-            in_.readExact(enc_.data(), enc_.size());
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk payload changed after open");
-            rethrowTraceIo(e);
-        }
+        readChunkBytes(in_, enc_.data(), enc_.size(), path_,
+                       "truncated chunk payload");
+        hash_ = fnv1a(ch, sizeof(ch), hash_);
+        hash_ = fnv1a(enc_.data(), enc_.size(), hash_);
         buf_.resize(hdr.count);
         columnar::decodeChunk(enc_.data(), hdr.colBytes, hdr.count,
                               buf_.data(), path_);
-        bytes.add(kChunkHeaderBytesV2 + hdr.payloadBytes);
+        chunkBytes = kChunkHeaderBytesV2 + hdr.payloadBytes;
     }
+    bytes.add(chunkBytes);
     chunks.add(1);
+    offset_ += chunkBytes;
+    records_ += buf_.size();
+    ++info_.chunkCount;
     pos_ = 0;
-    ++chunksRead_;
     return true;
 }
 
@@ -664,158 +552,10 @@ FileTraceSource::reset()
     }
     buf_.clear();
     pos_ = 0;
-    chunksRead_ = 0;
-    return true;
-}
-
-// ----------------------------------------------------------------------
-// MappedTraceSource
-// ----------------------------------------------------------------------
-
-MappedTraceSource::MappedTraceSource(const std::string &path,
-                                     const TraceFileInfo *known)
-    : path_(path), info_(known ? *known : probeTraceFile(path))
-{
-    static obs::Counter opens("trace.open.mmap");
-    opens.add(1);
-    // v2 chunks hold encoded column streams, not InstRecord bytes, so
-    // there is nothing a mapping could lend spans out of.
-    if (info_.version == kTraceFormatV2)
-        throw TraceFileError(path,
-                             "columnar v2 trace: mmap replay is "
-                             "v1-only; use the streamed reader");
-    mapBytes_ = kTraceHeaderBytes + info_.payloadBytes;
-    checkReadFailpoint("trace.replay.open", path, "open");
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        throw TraceFileError(path,
-                             std::string("open failed: ") +
-                                 std::strerror(errno),
-                             errno);
-    // The probe ran against a separate open: re-stat through this fd
-    // so a file swapped in between cannot shrink the mapping under
-    // the validated byte counts (reads past EOF in a mapping are
-    // SIGBUS, not recoverable errors).
-    struct stat st = {};
-    if (::fstat(fd, &st) != 0 ||
-        static_cast<uint64_t>(st.st_size) != mapBytes_) {
-        ::close(fd);
-        throw TraceFileError(path, "file changed since it was scanned");
-    }
-    void *base =
-        ::mmap(nullptr, mapBytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (base == MAP_FAILED)
-        throw TraceFileError(path,
-                             std::string("mmap failed: ") +
-                                 std::strerror(errno),
-                             errno);
-    base_ = static_cast<const char *>(base);
-    cursor_ = base_ + kTraceHeaderBytes;
-
-    // Validate the mapped header itself (cheap), so both the no-probe
-    // fast path and a probe raced by a same-size rewrite reject here.
-    TraceHeader h;
-    std::memcpy(&h.version, base_ + 8, sizeof(h.version));
-    std::memcpy(&h.recordBytes, base_ + 12, sizeof(h.recordBytes));
-    std::memcpy(&h.layoutHash, base_ + 16, sizeof(h.layoutHash));
-    std::memcpy(&h.recordCount, base_ + 24, sizeof(h.recordCount));
-    std::memcpy(&h.payloadBytes, base_ + 32, sizeof(h.payloadBytes));
-    std::memcpy(&h.payloadHash, base_ + 40, sizeof(h.payloadHash));
-    if (std::memcmp(base_, kTraceMagic, sizeof(kTraceMagic)) != 0 ||
-        h.version != kTraceFormatV1 ||
-        h.recordBytes != sizeof(InstRecord) ||
-        h.layoutHash != kTraceLayoutHash ||
-        h.recordCount != info_.recordCount ||
-        h.payloadBytes != info_.payloadBytes ||
-        h.payloadHash != info_.payloadHash) {
-        ::munmap(const_cast<char *>(base_), mapBytes_);
-        base_ = nullptr;
-        throw TraceFileError(path, "file changed since it was scanned");
-    }
-}
-
-MappedTraceSource::~MappedTraceSource()
-{
-    if (base_)
-        ::munmap(const_cast<char *>(base_), mapBytes_);
-}
-
-bool
-MappedTraceSource::advanceChunk()
-{
-    const char *end = base_ + mapBytes_;
-    if (cursor_ == end)
-        return false;
-    // Bounds-check every chunk walk: the validation probe ran against
-    // a separate open of the path, so a concurrent rewrite could put
-    // arbitrary counts here — decoding them unchecked would walk the
-    // cursor (and the next memcpy) out of the mapping.
-    uint32_t magic = 0, count = 0;
-    if (end - cursor_ < static_cast<ptrdiff_t>(kChunkHeaderBytes))
-        throw TraceFileError(path_, "chunk header out of bounds (file "
-                                    "changed after open?)");
-    std::memcpy(&magic, cursor_, sizeof(magic));
-    std::memcpy(&count, cursor_ + 4, sizeof(count));
-    if (magic != kTraceChunkMagic || count == 0 ||
-        static_cast<uint64_t>(end - cursor_) - kChunkHeaderBytes <
-            uint64_t(count) * sizeof(InstRecord))
-        throw TraceFileError(path_, "corrupt chunk in mapping (file "
-                                    "changed after open?)");
-    recs_ = reinterpret_cast<const InstRecord *>(cursor_ +
-                                                 kChunkHeaderBytes);
-    left_ = count;
-    cursor_ += kChunkHeaderBytes + size_t(count) * sizeof(InstRecord);
-    static obs::Counter chunks("trace.chunk.decoded");
-    chunks.add(1);
-    return true;
-}
-
-bool
-MappedTraceSource::next(InstRecord &rec)
-{
-    if (left_ == 0 && !advanceChunk())
-        return false;
-    rec = *recs_++;
-    --left_;
-    return true;
-}
-
-size_t
-MappedTraceSource::nextBatch(InstRecord *buf, size_t n)
-{
-    size_t got = 0;
-    while (got < n) {
-        if (left_ == 0 && !advanceChunk())
-            break;
-        const size_t take = std::min(n - got, left_);
-        std::copy_n(recs_, take, buf + got);
-        recs_ += take;
-        left_ -= take;
-        got += take;
-    }
-    return got;
-}
-
-size_t
-MappedTraceSource::nextSpan(const InstRecord *&span, InstRecord *,
-                            size_t n)
-{
-    if (left_ == 0 && !advanceChunk())
-        return 0;
-    const size_t got = std::min(n, left_);
-    span = recs_;
-    recs_ += got;
-    left_ -= got;
-    return got;
-}
-
-bool
-MappedTraceSource::reset()
-{
-    cursor_ = base_ ? base_ + kTraceHeaderBytes : nullptr;
-    recs_ = nullptr;
-    left_ = 0;
+    offset_ = 0;
+    records_ = 0;
+    hash_ = kFnvOffset;
+    info_.chunkCount = 0;
     return true;
 }
 
@@ -995,23 +735,13 @@ readTextTrace(const std::string &path)
 }
 
 std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path, bool streamed,
-              const TraceFileInfo *known)
+openTraceFile(const std::string &path)
 {
     const std::string ext =
         std::filesystem::path(path).extension().string();
     if (ext == ".csv" || ext == ".txt")
         return std::make_unique<VectorTraceSource>(readTextTrace(path));
-    // Dispatch on the header format version: v2 files always replay
-    // through the streamed reader (mmap has no raw records to lend).
-    TraceFileInfo local;
-    if (known == nullptr) {
-        local = probeTraceFile(path);
-        known = &local;
-    }
-    if (streamed || known->version == kTraceFormatV2)
-        return std::make_unique<FileTraceSource>(path, known);
-    return std::make_unique<MappedTraceSource>(path, known);
+    return std::make_unique<FileTraceSource>(path);
 }
 
 TraceConvertStats
@@ -1019,14 +749,14 @@ convertTraceFile(const std::string &src, const std::string &dst,
                  uint32_t dstVersion)
 {
     obs::ObsSpan sp("trace.convert");
-    const TraceFileInfo srcInfo = probeTraceFile(src);
     TraceConvertStats stats;
-    stats.srcVersion = srcInfo.version;
     stats.dstVersion = dstVersion;
-    stats.srcBytes = kTraceHeaderBytes + srcInfo.payloadBytes;
-
     {
-        FileTraceSource in(src, &srcInfo);
+        // The copy loop replays src to its end, so src is fully
+        // verified before the destination is renamed into place.
+        FileTraceSource in(src);
+        stats.srcVersion = in.info().version;
+        stats.srcBytes = kTraceHeaderBytes + in.info().payloadBytes;
         TraceFileWriter out(dst, dstVersion);
         const InstRecord *span = nullptr;
         size_t got = 0;
@@ -1046,7 +776,7 @@ convertTraceFile(const std::string &src, const std::string &dst,
                                       why);
     }
     stats.dstBytes =
-        kTraceHeaderBytes + probeTraceFile(dst).payloadBytes;
+        kTraceHeaderBytes + FileTraceSource(dst).info().payloadBytes;
     sp.arg("records", stats.records);
     sp.arg("dst_bytes", stats.dstBytes);
     return stats;
@@ -1081,6 +811,11 @@ traceRecordsIdentical(const std::string &a, const std::string &b,
             return false;
         }
         ++i;
+    }
+    // Run b to its end too, so its checksum is verified as well.
+    if (rb.next(y)) {
+        why = a + " ended early at record " + std::to_string(i);
+        return false;
     }
     why.clear();
     return true;

@@ -7,9 +7,8 @@
  * mini-ISA interpreter. A versioned binary trace format decouples the
  * two: any TraceSource can be teed to disk once (RecordingSource +
  * TraceFileWriter) and replayed any number of times, byte-identically,
- * by either of two readers — a streamed FileTraceSource and an
- * mmap-backed MappedTraceSource whose spans point straight into the
- * mapping (zero copy). A lenient text reader covers hand-made traces.
+ * by one streamed reader, FileTraceSource. A lenient text reader
+ * covers hand-made traces.
  *
  * Format (all integers native-endian; a byte-swapped file fails the
  * version check and is rejected):
@@ -34,21 +33,23 @@
  *     byte[..] columns      the six streams, concatenated in column
  *                           order (see trace/columnar.hh)
  *
- * A v1 chunk advances the file offset by 8 + count * sizeof(InstRecord)
- * with records 8-byte aligned, so the mmap reader lends InstRecord
- * spans directly out of the mapping. A v2 chunk stores the same records
- * as delta/varint/bit-packed column streams (~5 bytes per record
- * instead of 48); it must be decoded, so v2 files replay through the
- * streamed reader (MappedTraceSource is v1-only). Readers dispatch
- * on the header version; both versions stay readable forever.
+ * A v1 chunk stores raw InstRecords; a v2 chunk stores the same
+ * records as delta/varint/bit-packed column streams (~5 bytes per
+ * record instead of 48) that the reader decodes chunk by chunk. The
+ * reader dispatches on the header version; both versions stay
+ * readable forever.
  *
- * Every reader validates the whole chunk structure AND the payload
- * checksum up front (one sequential read at open; for v2 the probe
- * fully decodes every chunk so corruption is reported per column) and
- * rejects corrupt, truncated, or version/layout-mismatched files with
- * a TraceFileError naming the file and the reason — a bad trace file
- * can never silently degrade into re-interpreting, partial replay, or
- * replaying flipped bits.
+ * Validation happens in the one pass that replays the file: opening
+ * checks the header and the exact file size, every chunk is checked
+ * (magic, count, remaining payload, and for v2 the column decode) as
+ * it is read, and the payload checksum and record count are folded
+ * incrementally and compared when the reader reaches the end of the
+ * payload — before it reports end of trace. A corrupt, truncated, or
+ * version/layout-mismatched file throws a TraceFileError naming the
+ * file and the reason, so a consumer that drains its source to the
+ * end never accepts flipped bits, a partial replay, or a silent fall
+ * back to re-interpreting. probeTraceFile is the same pass with the
+ * records discarded.
  */
 
 #pragma once
@@ -67,7 +68,7 @@
 namespace mica
 {
 
-/** Format 1: chunks of raw 8-byte-aligned InstRecords (mmap-able). */
+/** Format 1: chunks of raw InstRecords. */
 constexpr uint32_t kTraceFormatV1 = 1;
 
 /** Format 2: columnar chunks (delta/varint/bit-packed streams). */
@@ -133,14 +134,14 @@ class TraceFileError : public std::runtime_error
     int err_;
 };
 
-/** Header facts of one validated binary trace file. */
+/** Header facts of one binary trace file. */
 struct TraceFileInfo
 {
     uint32_t version = 0;       ///< trace format version (1 or 2)
     uint64_t recordCount = 0;   ///< total records across all chunks
     uint64_t payloadBytes = 0;  ///< bytes after the 48-byte header
-    uint64_t chunkCount = 0;    ///< number of payload chunks
-    uint64_t payloadHash = 0;   ///< verified FNV-1a of the payload
+    uint64_t chunkCount = 0;    ///< payload chunks read so far
+    uint64_t payloadHash = 0;   ///< FNV-1a of the payload (header claim)
 };
 
 /** Word-folding FNV-1a, the hash the trace format uses throughout. */
@@ -148,10 +149,12 @@ uint64_t fnv1a(const void *data, size_t n,
                uint64_t h = 14695981039346656037ull);
 
 /**
- * Validate @p path as a binary trace file: header fields, exact file
- * size, and the full chunk chain (magics, counts, and their sum).
+ * Fully verify @p path as a binary trace file: open a FileTraceSource
+ * and replay it to the end, discarding the records. Every check the
+ * reader makes runs: header fields, exact file size, every chunk, the
+ * record count and the payload checksum.
  *
- * @return the validated header facts.
+ * @return the verified header facts (chunkCount holds every chunk).
  * @throws TraceFileError naming the file and the failed check.
  */
 TraceFileInfo probeTraceFile(const std::string &path);
@@ -237,23 +240,28 @@ class TraceFileWriter
 };
 
 /**
- * Streamed reader: one buffered chunk in memory at a time, so replay
- * cost is O(chunk) memory regardless of trace length. Supports
+ * The binary trace reader: one buffered chunk in memory at a time, so
+ * replay cost is O(chunk) memory regardless of trace length. Supports
  * reset(); spans point into the internal chunk buffer.
+ *
+ * Validation rides along with replay. The constructor checks the
+ * header and the exact file size; refilling checks each chunk's
+ * structure before lending its records; and at the end of the
+ * payload, before next()/nextBatch()/nextSpan() report end of trace,
+ * the folded payload checksum and record count must match the
+ * header. A consumer that stops early (a budget below the recorded
+ * length) has only the structure of what it read checked — drain the
+ * source (drainSource) before trusting what it produced.
  */
 class FileTraceSource : public TraceSource
 {
   public:
     /**
-     * @param known facts from an earlier probeTraceFile of this file:
-     *        when given, the constructor re-validates only the header
-     *        (cheap) instead of re-reading the whole payload — the
-     *        chunk-level guards still reject a file that changed
-     *        underneath. When omitted, the file is fully probed.
-     * @throws TraceFileError when the file fails validation.
+     * Open @p path and check its header and size; reads no payload.
+     * @throws TraceFileError when the file cannot be opened, is not a
+     *         trace, or fails a header or size check.
      */
-    explicit FileTraceSource(const std::string &path,
-                             const TraceFileInfo *known = nullptr);
+    explicit FileTraceSource(const std::string &path);
 
     bool next(InstRecord &rec) override;
     size_t nextBatch(InstRecord *buf, size_t n) override;
@@ -261,11 +269,18 @@ class FileTraceSource : public TraceSource
                     size_t n) override;
     bool reset() override;
 
-    /** @return total records in the file. */
+    /** @return total records in the file (the header's count). */
     uint64_t recordCount() const { return info_.recordCount; }
 
+    /** @return the header facts; chunkCount counts chunks read. */
+    const TraceFileInfo &info() const { return info_; }
+
   private:
-    /** Load the next chunk into buf_; @return false at end of trace. */
+    /**
+     * Load and check the next chunk into buf_. At the end of the
+     * payload, verify record count and checksum instead.
+     * @return false at end of trace.
+     */
     bool refill();
 
     std::string path_;
@@ -274,55 +289,9 @@ class FileTraceSource : public TraceSource
     std::vector<InstRecord> buf_;
     std::vector<char> enc_;     ///< reused v2 column payload buffer
     size_t pos_ = 0;            ///< consumed records within buf_
-    uint64_t chunksRead_ = 0;
-};
-
-/**
- * mmap-backed reader: the whole file is mapped read-only and
- * nextSpan() lends records directly out of the mapping — zero copies
- * on the profiling hot path (chunks keep records 8-byte aligned).
- * Supports reset(). v1-only by design: a v2 file stores encoded
- * columns, not InstRecord bytes, so there is nothing to lend spans
- * out of — the constructor rejects v2 files and points at the
- * streamed reader.
- */
-class MappedTraceSource : public TraceSource
-{
-  public:
-    /**
-     * @param known as for FileTraceSource: skips the full payload
-     *        re-probe; the mapping's header and size are still
-     *        verified and every chunk walk is bounds-checked.
-     * @throws TraceFileError when the file fails validation or mmap.
-     */
-    explicit MappedTraceSource(const std::string &path,
-                               const TraceFileInfo *known = nullptr);
-
-    ~MappedTraceSource() override;
-
-    MappedTraceSource(const MappedTraceSource &) = delete;
-    MappedTraceSource &operator=(const MappedTraceSource &) = delete;
-
-    bool next(InstRecord &rec) override;
-    size_t nextBatch(InstRecord *buf, size_t n) override;
-    size_t nextSpan(const InstRecord *&span, InstRecord *buf,
-                    size_t n) override;
-    bool reset() override;
-
-    /** @return total records in the file. */
-    uint64_t recordCount() const { return info_.recordCount; }
-
-  private:
-    /** Position cursor at the next chunk; @return false at end. */
-    bool advanceChunk();
-
-    std::string path_;
-    TraceFileInfo info_;
-    const char *base_ = nullptr;    ///< mapping base (nullptr if empty)
-    size_t mapBytes_ = 0;
-    const char *cursor_ = nullptr;  ///< next unread chunk header
-    const InstRecord *recs_ = nullptr;  ///< next record in current chunk
-    size_t left_ = 0;               ///< records left in current chunk
+    uint64_t offset_ = 0;       ///< payload bytes read so far
+    uint64_t records_ = 0;      ///< records in the chunks read so far
+    uint64_t hash_ = 0;         ///< FNV-1a of the payload read so far
 };
 
 /**
@@ -398,21 +367,13 @@ std::vector<InstRecord> parseTextTrace(std::istream &in,
 std::vector<InstRecord> readTextTrace(const std::string &path);
 
 /**
- * Open a trace file with the reader its contents call for: binary
- * ".trace" files dispatch on the header format version — v1 via
- * MappedTraceSource (or FileTraceSource when @p streamed), v2 always
- * via the streamed FileTraceSource — and ".csv"/".txt" text traces
- * replay from a parsed buffer.
- * @param known optional earlier probe result for binary files (see
- *        the reader constructors); when omitted the file is probed
- *        here so the version dispatch can read it. Ignored for text
- *        traces.
- * @throws TraceFileError when the file fails validation.
+ * Open a trace file for replay: binary ".trace" files through
+ * FileTraceSource (either format version), ".csv"/".txt" text traces
+ * from a parsed buffer.
+ * @throws TraceFileError when the file cannot be opened or fails the
+ *         open-time checks.
  */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
-                                           bool streamed = false,
-                                           const TraceFileInfo *known =
-                                               nullptr);
+std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 
 /** Facts reported by convertTraceFile. */
 struct TraceConvertStats

@@ -92,6 +92,21 @@ class TraceSource
 };
 
 /**
+ * Pull @p src to its end, discarding the records. A consumer that
+ * stopped early (a budget below the trace's length) calls this so a
+ * verifying source — FileTraceSource checks its payload checksum at
+ * the end — has vouched for the records before the result counts.
+ */
+inline void
+drainSource(TraceSource &src)
+{
+    InstRecord buf[256];
+    const InstRecord *span = nullptr;
+    while (src.nextSpan(span, buf, 256) != 0) {
+    }
+}
+
+/**
  * A consumer of dynamic instructions.
  *
  * Analyzers accumulate state over the trace; finish() is invoked exactly

@@ -48,13 +48,12 @@ constexpr SiteDef kSites[] = {
     {"index.snapshot.rename", true},
     {"index.load.open", false},
     {"index.load.read", false},
-    // Trace recording (.tmp + rename) and the read paths.
+    // Trace recording (.tmp + rename) and the one read path: opening
+    // a trace (binary or text) and reading each binary chunk.
     {"trace.record.open", true},
     {"trace.record.write", true},
     {"trace.record.fsync", true},
     {"trace.record.rename", true},
-    {"trace.probe.open", false},
-    {"trace.probe.read", false},
     {"trace.chunk.read", false},
     {"trace.replay.open", false},
     // Analyzer-stage hook (sweep quarantine of a throwing job).

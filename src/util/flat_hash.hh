@@ -72,17 +72,6 @@ struct MulHash
 };
 
 /**
- * Identity hash policy for keys that are *already* well mixed (e.g.,
- * keys built by multiplicative hashing).
- * Multiplying by an odd constant is bijective on the low bits used
- * for indexing, so such keys need no second mix.
- */
-struct PremixedHash
-{
-    static uint64_t of(uint64_t x) { return x; }
-};
-
-/**
  * Open-addressing hash map from an integral key to a value.
  *
  * Grows by doubling at 70% load; capacity is always a power of two so

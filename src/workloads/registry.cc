@@ -634,8 +634,8 @@ traceInfoFromStem(const std::string &stem)
 } // namespace
 
 std::vector<BenchmarkEntry>
-traceBenchmarks(const std::string &dir, bool streamReader,
-                uint64_t maxInsts, uint64_t *contentStamp,
+traceBenchmarks(const std::string &dir, uint64_t maxInsts,
+                uint64_t *contentStamp,
                 std::vector<std::pair<std::string, std::string>>
                     *quarantined)
 {
@@ -648,14 +648,13 @@ traceBenchmarks(const std::string &dir, bool streamReader,
         if (de.is_regular_file())
             files.push_back(de.path().string());
     }
-    return traceBenchmarksFromFiles(files, streamReader, maxInsts,
-                                    contentStamp, quarantined, dir);
+    return traceBenchmarksFromFiles(files, maxInsts, contentStamp,
+                                    quarantined, dir);
 }
 
 std::vector<BenchmarkEntry>
 traceBenchmarksFromFiles(const std::vector<std::string> &files,
-                         bool streamReader, uint64_t maxInsts,
-                         uint64_t *contentStamp,
+                         uint64_t maxInsts, uint64_t *contentStamp,
                          std::vector<std::pair<std::string, std::string>>
                              *quarantined,
                          const std::string &what)
@@ -678,11 +677,12 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
         uint64_t contentId = 0;
         try {
             if (binary) {
-                // Eager validation: a bad file must reject at scan
-                // time, not degrade the sweep later. The factories
-                // reuse this probe (header-only re-check per open)
-                // instead of re-reading the payload on every job.
-                const TraceFileInfo fi = probeTraceFile(p.string());
+                // Header only: a file that is not a trace, or whose
+                // header or size is wrong, rejects at scan time; the
+                // payload is verified by the replay jobs themselves,
+                // which read it anyway. The stamp and the budget guard
+                // come from the header's claims.
+                const TraceFileInfo fi = FileTraceSource(p.string()).info();
                 e.info.paperICountM = fi.recordCount / 1000000;
                 if (maxInsts != 0 && maxInsts > fi.recordCount) {
                     throw TraceFileError(
@@ -698,8 +698,16 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                     fnv1a(&fi.recordCount, sizeof(fi.recordCount),
                           fnv1a(&fi.payloadHash,
                                 sizeof(fi.payloadHash)));
-                e.source = [path = p.string(), streamReader, fi] {
-                    return openTraceFile(path, streamReader, &fi);
+                // The stamp keys the profile store, so a job must
+                // replay the content the scan saw.
+                e.source = [path = p.string(),
+                            fi]() -> std::unique_ptr<TraceSource> {
+                    auto src = std::make_unique<FileTraceSource>(path);
+                    if (src->info().recordCount != fi.recordCount ||
+                        src->info().payloadHash != fi.payloadHash)
+                        throw TraceFileError(path, "file changed since "
+                                                   "it was scanned");
+                    return src;
                 };
             } else {
                 if (contentStamp || maxInsts != 0) {
@@ -728,12 +736,12 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                         }
                     }
                 }
-                e.source = [path = p.string(), streamReader] {
-                    return openTraceFile(path, streamReader);
+                e.source = [path = p.string()] {
+                    return openTraceFile(path);
                 };
             }
         } catch (const TraceFileError &ex) {
-            // Scan-time quarantine: one bad file must not take down
+            // Scan-time quarantine: one bad header must not take down
             // the whole sweep when the caller opted into isolation.
             // The file contributes neither an entry nor a stamp bit.
             if (!quarantined)

@@ -65,56 +65,55 @@ class BenchmarkRegistry
  * recorded registry sweep reproduces the interpreter sweep's report
  * ordering byte for byte.
  *
- * Binary files are validated eagerly (header + chunk chain +
- * payload checksum), so a corrupt or version-mismatched trace
- * rejects at scan time with a TraceFileError instead of failing
- * mid-sweep — and never silently falls back to interpreting the
- * registry kernel. The source factories reuse that validation
- * (header-only re-check per open, no second payload pass). Two
- * files mapping to the same benchmark name reject too.
+ * Only the header of a binary file is read here: a file that is not
+ * a trace, or whose header or size is wrong, rejects at scan time
+ * with a TraceFileError. The payload is verified by the replay jobs
+ * as they read it (FileTraceSource checks every chunk and, at the
+ * end, the checksum), so a corrupt payload fails its profiling job
+ * instead — and never silently falls back to interpreting the
+ * registry kernel. A factory whose file no longer carries the scanned
+ * header rejects too ("file changed since it was scanned"). Two
+ * files mapping to the same benchmark name reject.
  *
  * @param dir directory holding the trace files
- * @param streamReader replay via FileTraceSource instead of the
- *        default MappedTraceSource (profiles are byte-identical
- *        either way)
  * @param maxInsts the profiling budget the entries will run under:
  *        a binary trace holding fewer records than a nonzero budget
  *        rejects, because replay would silently produce a shorter
  *        stream than interpreting the program directly (0 = replay
  *        whatever was recorded)
  * @param contentStamp when non-null, receives a digest of every
- *        file's identity and content (names, record counts, payload
- *        checksums; raw bytes for text traces) so callers can key
- *        caches on what the traces *hold*, not just the directory
- *        path — quarantined files are excluded from the digest, so a
+ *        file's identity and content (names, and the record counts
+ *        and payload checksums the headers claim; raw bytes for text
+ *        traces) so callers can key caches on what the traces *hold*,
+ *        not just the directory path — quarantined files are excluded from the digest, so a
  *        directory with a corrupt file keys differently from the
  *        same directory healthy
- * @param quarantined when non-null, a file that fails validation (or
- *        the budget guard) is recorded here as {path, error} and
+ * @param quarantined when non-null, a file that fails the scan checks
+ *        (or the budget guard) is recorded here as {path, error} and
  *        skipped instead of throwing; directory-level problems (not
  *        a directory, duplicate benchmark names) still throw. Order
  *        follows the directory scan, which is filesystem-dependent —
  *        callers wanting a deterministic report should sort.
  * @throws TraceFileError when @p dir is not a directory or (with
- *         @p quarantined null) a trace file in it fails validation
+ *         @p quarantined null) a trace file in it fails the scan
+ *         checks
  */
 std::vector<BenchmarkEntry>
-traceBenchmarks(const std::string &dir, bool streamReader = false,
-                uint64_t maxInsts = 0, uint64_t *contentStamp = nullptr,
+traceBenchmarks(const std::string &dir, uint64_t maxInsts = 0,
+                uint64_t *contentStamp = nullptr,
                 std::vector<std::pair<std::string, std::string>>
                     *quarantined = nullptr);
 
 /**
  * As traceBenchmarks, but over an explicit file list instead of a
  * directory scan — the corpus layer hands one shard's files through
- * here. Semantics (validation, budget guard, quarantine, content
+ * here. Semantics (header checks, budget guard, quarantine, content
  * stamp, registry-order sort, duplicate-name rejection) are identical;
  * @p what names the trace set in set-level error messages (duplicate
  * benchmark names). Files with unknown extensions are skipped.
  */
 std::vector<BenchmarkEntry>
 traceBenchmarksFromFiles(const std::vector<std::string> &files,
-                         bool streamReader = false,
                          uint64_t maxInsts = 0,
                          uint64_t *contentStamp = nullptr,
                          std::vector<std::pair<std::string, std::string>>

@@ -153,15 +153,6 @@ TEST(FlatHashMapTest, CollisionStressDegenerateKeysMulHash)
         collisionStress<FlatHashMap<uint64_t, uint64_t, MulHash>>(keys);
 }
 
-TEST(FlatHashMapTest, CollisionStressDegenerateKeysPremixedHash)
-{
-    // Identity hashing degrades to long probe runs on clustered keys
-    // but must stay correct.
-    for (const auto &keys : degenerateKeySets())
-        collisionStress<FlatHashMap<uint64_t, uint64_t, PremixedHash>>(
-            keys);
-}
-
 TEST(FlatHashMapTest, MoveOnlyValuesSurviveGrowth)
 {
     FlatHashMap<uint64_t, std::unique_ptr<uint64_t>> m;

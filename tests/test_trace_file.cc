@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for file-backed trace recording and replay: the binary format
- * round trip (streamed and mmap readers, bit for bit), writer
- * atomicity, rejection of corrupt/truncated/version-mismatched files,
+ * round trip (bit for bit, through FileTraceSource and openTraceFile),
+ * writer atomicity, rejection of corrupt/truncated/version-mismatched
+ * files through replay as well as probeTraceFile,
  * the RecordingSource tee, the next()/nextBatch()/nextSpan() prefix
  * contract across every source, text traces, trace-directory
  * benchmark surfacing, and the load-bearing contract of the whole
@@ -25,6 +26,7 @@
 #include "experiments/experiments.hh"
 #include "isa/interpreter.hh"
 #include "mica/runner.hh"
+#include "obs/obs.hh"
 #include "pipeline/profile_store.hh"
 #include "test_util.hh"
 #include "trace/synthetic.hh"
@@ -122,19 +124,19 @@ TEST(TraceFileTest, RoundTripsBitForBitThroughBothReaders)
 
     EXPECT_EQ(probeTraceFile(path).recordCount, recs.size());
 
+    // The reader itself and the openTraceFile entry point.
     FileTraceSource streamed(path);
-    MappedTraceSource mapped(path);
+    auto opened = openTraceFile(path);
     EXPECT_EQ(streamed.recordCount(), recs.size());
-    EXPECT_EQ(mapped.recordCount(), recs.size());
     InstRecord a, b;
     for (size_t i = 0; i < recs.size(); ++i) {
         ASSERT_TRUE(streamed.next(a)) << i;
-        ASSERT_TRUE(mapped.next(b)) << i;
+        ASSERT_TRUE(opened->next(b)) << i;
         EXPECT_TRUE(sameRec(a, recs[i])) << i;
         EXPECT_TRUE(sameRec(b, recs[i])) << i;
     }
     EXPECT_FALSE(streamed.next(a));
-    EXPECT_FALSE(mapped.next(b));
+    EXPECT_FALSE(opened->next(b));
 }
 
 TEST(TraceFileTest, RecordingTheSameTraceTwiceIsByteIdentical)
@@ -158,10 +160,10 @@ TEST(TraceFileTest, EmptyTraceRoundTrips)
     const std::string path = writeTrace(tmp, {});
     EXPECT_EQ(probeTraceFile(path).recordCount, 0u);
     FileTraceSource streamed(path);
-    MappedTraceSource mapped(path);
+    auto opened = openTraceFile(path);
     InstRecord r;
     EXPECT_FALSE(streamed.next(r));
-    EXPECT_FALSE(mapped.next(r));
+    EXPECT_FALSE(opened->next(r));
 }
 
 TEST(TraceFileTest, ResetRewindsBothReaders)
@@ -170,14 +172,14 @@ TEST(TraceFileTest, ResetRewindsBothReaders)
     const auto recs = sampleRecords(6000);
     const std::string path = writeTrace(tmp, recs);
     FileTraceSource streamed(path);
-    MappedTraceSource mapped(path);
+    auto opened = openTraceFile(path);
     InstRecord r;
     for (int i = 0; i < 4999; ++i) {
         ASSERT_TRUE(streamed.next(r));
-        ASSERT_TRUE(mapped.next(r));
+        ASSERT_TRUE(opened->next(r));
     }
     EXPECT_TRUE(streamed.reset());
-    EXPECT_TRUE(mapped.reset());
+    EXPECT_TRUE(opened->reset());
     size_t n = 0;
     while (streamed.next(r)) {
         ASSERT_TRUE(sameRec(r, recs[n]));
@@ -185,26 +187,11 @@ TEST(TraceFileTest, ResetRewindsBothReaders)
     }
     EXPECT_EQ(n, recs.size());
     n = 0;
-    while (mapped.next(r)) {
+    while (opened->next(r)) {
         ASSERT_TRUE(sameRec(r, recs[n]));
         ++n;
     }
     EXPECT_EQ(n, recs.size());
-}
-
-TEST(TraceFileTest, MappedSpansAreZeroCopy)
-{
-    TmpDir tmp;
-    const auto recs = sampleRecords(100);
-    const std::string path = writeTrace(tmp, recs);
-    MappedTraceSource mapped(path);
-    InstRecord backing[128];
-    const InstRecord *span = nullptr;
-    const size_t got = mapped.nextSpan(span, backing, 128);
-    EXPECT_EQ(got, 100u);
-    EXPECT_NE(span, backing);   // points into the mapping, not at buf
-    EXPECT_TRUE(sameRec(span[0], recs[0]));
-    EXPECT_TRUE(sameRec(span[99], recs[99]));
 }
 
 TEST(TraceFileTest, SpansStopAtChunkBoundariesButNeverReturnZeroMidTrace)
@@ -213,22 +200,28 @@ TEST(TraceFileTest, SpansStopAtChunkBoundariesButNeverReturnZeroMidTrace)
     const size_t n = TraceFileWriter::kChunkRecords + 17;
     const auto recs = sampleRecords(n);
     const std::string path = writeTrace(tmp, recs);
-    for (int streamed = 0; streamed < 2; ++streamed) {
-        auto src = openTraceFile(path, streamed != 0);
-        std::vector<InstRecord> buf(n + 100);
-        const InstRecord *span = nullptr;
-        size_t total = 0, calls = 0;
-        size_t got;
-        while ((got = src->nextSpan(span, buf.data(), buf.size())) != 0) {
-            ASSERT_GT(got, 0u);
-            for (size_t i = 0; i < got; ++i)
-                ASSERT_TRUE(sameRec(span[i], recs[total + i]));
-            total += got;
-            ++calls;
-        }
-        EXPECT_EQ(total, n);
-        EXPECT_EQ(calls, 2u) << "one span per chunk";
+    auto src = openTraceFile(path);
+    std::vector<InstRecord> buf(n + 100);
+    const InstRecord *span = nullptr;
+    size_t total = 0, calls = 0;
+    size_t got;
+    while ((got = src->nextSpan(span, buf.data(), buf.size())) != 0) {
+        ASSERT_GT(got, 0u);
+        for (size_t i = 0; i < got; ++i)
+            ASSERT_TRUE(sameRec(span[i], recs[total + i]));
+        total += got;
+        ++calls;
     }
+    EXPECT_EQ(total, n);
+    EXPECT_EQ(calls, 2u) << "one span per chunk";
+}
+
+/** Replay @p path through openTraceFile to its end. */
+void
+replayAll(const std::string &path)
+{
+    auto src = openTraceFile(path);
+    drainSource(*src);
 }
 
 /** Expect a TraceFileError whose message mentions @p needle. */
@@ -314,25 +307,19 @@ TEST(TraceV2Test, EmptyTraceRoundTrips)
     EXPECT_FALSE(streamed.next(r));
 }
 
-TEST(TraceV2Test, MmapReaderRejectsV2AndOpenTraceFileDispatches)
+TEST(TraceV2Test, OpenTraceFileReplaysV2)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(100);
     const std::string path = writeTraceV2(tmp, recs);
-    expectReject([&] { MappedTraceSource s(path); }, "v1-only");
-
-    // openTraceFile must route a v2 file to the streamed reader even
-    // when the caller asked for the default (mmap) path.
-    for (int streamed = 0; streamed < 2; ++streamed) {
-        auto src = openTraceFile(path, streamed != 0);
-        InstRecord r;
-        size_t n = 0;
-        while (src->next(r)) {
-            ASSERT_TRUE(sameRec(r, recs[n])) << n;
-            ++n;
-        }
-        EXPECT_EQ(n, recs.size());
+    auto src = openTraceFile(path);
+    InstRecord r;
+    size_t n = 0;
+    while (src->next(r)) {
+        ASSERT_TRUE(sameRec(r, recs[n])) << n;
+        ++n;
     }
+    EXPECT_EQ(n, recs.size());
 }
 
 TEST(TraceV2Test, ConvertRoundTripsBothWaysRecordIdentical)
@@ -385,6 +372,7 @@ TEST(TraceV2Test, FlippedColumnByteRejectsNamingTheColumn)
     const uint8_t badWidth = 17;
     patchBytes(path, 48 + 32 + colBytes[0] + colBytes[1], &badWidth, 1);
     expectReject([&] { probeTraceFile(path); }, "column 'reg'");
+    expectReject([&] { replayAll(path); }, "column 'reg'");
 }
 
 TEST(TraceV2Test, FlippedPayloadBitsAndTruncationReject)
@@ -398,12 +386,14 @@ TEST(TraceV2Test, FlippedPayloadBitsAndTruncationReject)
     fs::copy_file(path, cut, fs::copy_options::overwrite_existing);
     fs::resize_file(cut, full - 1);
     EXPECT_THROW(probeTraceFile(cut), TraceFileError);
+    EXPECT_THROW(replayAll(cut), TraceFileError);
 
     // A flipped byte anywhere in a column stream must reject — either
     // a column decode error or the payload checksum catches it.
     const uint8_t junk = 0xa5;
     patchBytes(path, full - 10, &junk, 1);
     EXPECT_THROW(probeTraceFile(path), TraceFileError);
+    EXPECT_THROW(replayAll(path), TraceFileError);
 }
 
 // ----------------------------------------------------------------------
@@ -453,7 +443,7 @@ TEST(TraceFileTest, RejectsMissingAndNonTraceFiles)
                  "not a mica trace file");
     expectReject([&] { FileTraceSource s(tmp.file("junk.trace")); },
                  "not a mica trace file");
-    expectReject([&] { MappedTraceSource s(tmp.file("junk.trace")); },
+    expectReject([&] { openTraceFile(tmp.file("junk.trace")); },
                  "not a mica trace file");
 }
 
@@ -466,11 +456,13 @@ TEST(TraceFileTest, RejectsVersionAndLayoutMismatch)
     const uint32_t badVersion = kTraceFormatLatest + 1;
     patchBytes(p1, 8, &badVersion, sizeof(badVersion));
     expectReject([&] { probeTraceFile(p1); }, "version");
+    expectReject([&] { replayAll(p1); }, "version");
 
     const std::string p2 = writeTrace(tmp, recs, "h.trace");
     const uint64_t badHash = kTraceLayoutHash ^ 1;
     patchBytes(p2, 16, &badHash, sizeof(badHash));
     expectReject([&] { probeTraceFile(p2); }, "layout mismatch");
+    expectReject([&] { replayAll(p2); }, "layout mismatch");
 }
 
 TEST(TraceFileTest, RejectsTruncationAnywhere)
@@ -487,7 +479,7 @@ TEST(TraceFileTest, RejectsTruncationAnywhere)
         fs::resize_file(cut, keep);
         EXPECT_THROW(probeTraceFile(cut), TraceFileError) << keep;
         EXPECT_THROW(FileTraceSource s(cut), TraceFileError) << keep;
-        EXPECT_THROW(MappedTraceSource s(cut), TraceFileError) << keep;
+        EXPECT_THROW(openTraceFile(cut), TraceFileError) << keep;
     }
 }
 
@@ -499,6 +491,23 @@ TEST(TraceFileTest, RejectsFlippedPayloadBits)
     const uint8_t junk = 0xa5;
     patchBytes(path, 56 + 3, &junk, 1);     // inside the first record
     expectReject([&] { probeTraceFile(path); }, "checksum mismatch");
+    expectReject([&] { replayAll(path); }, "checksum mismatch");
+}
+
+TEST(TraceFileTest, ReplayReportsEndOfTraceOnlyAfterTheChecksum)
+{
+    TmpDir tmp;
+    const auto recs = sampleRecords(100);
+    const std::string path = writeTrace(tmp, recs);
+    const uint8_t junk = 0xa5;
+    patchBytes(path, 56 + 3, &junk, 1);
+    // Every record is lent out (the damage is only knowable at the
+    // end), but the call that would report end of trace throws.
+    FileTraceSource src(path);
+    InstRecord r;
+    for (size_t i = 0; i < recs.size(); ++i)
+        ASSERT_TRUE(src.next(r)) << i;
+    expectReject([&] { src.next(r); }, "payload checksum mismatch");
 }
 
 TEST(TraceFileTest, RejectsCorruptChunkHeaderAndCountMismatch)
@@ -510,11 +519,13 @@ TEST(TraceFileTest, RejectsCorruptChunkHeaderAndCountMismatch)
     const uint32_t badMagic = 0xdeadbeef;
     patchBytes(p1, 48, &badMagic, sizeof(badMagic));
     expectReject([&] { probeTraceFile(p1); }, "corrupt chunk header");
+    expectReject([&] { replayAll(p1); }, "corrupt chunk header");
 
     const std::string p2 = writeTrace(tmp, recs, "cc.trace");
     const uint64_t badCount = 99;
     patchBytes(p2, 24, &badCount, sizeof(badCount));
     expectReject([&] { probeTraceFile(p2); }, "record count mismatch");
+    expectReject([&] { replayAll(p2); }, "record count mismatch");
 }
 
 TEST(TraceFileTest, RejectsUnfinishedRecording)
@@ -524,6 +535,7 @@ TEST(TraceFileTest, RejectsUnfinishedRecording)
     const uint64_t unfinished = kTraceUnfinished;
     patchBytes(path, 24, &unfinished, sizeof(unfinished));
     expectReject([&] { probeTraceFile(path); }, "unfinished recording");
+    expectReject([&] { replayAll(path); }, "unfinished recording");
 }
 
 // ----------------------------------------------------------------------
@@ -553,7 +565,7 @@ TEST(RecordingSourceTest, TeesEveryConsumedRecordExactlyOnce)
         EXPECT_EQ(w.recordCount(), recs.size());
         w.close();
     }
-    MappedTraceSource replay(path);
+    FileTraceSource replay(path);
     InstRecord r;
     size_t i = 0;
     while (replay.next(r)) {
@@ -668,7 +680,7 @@ TEST(PrefixContractTest, Interpreter)
     expectPrefixContract(a, b, 20000);
 }
 
-TEST(PrefixContractTest, FileAndMappedSources)
+TEST(PrefixContractTest, FileSourcesBothFormats)
 {
     TmpDir tmp;
     const auto recs =
@@ -678,14 +690,15 @@ TEST(PrefixContractTest, FileAndMappedSources)
     FileTraceSource fa(path), fb(path);
     expectPrefixContract(fa, fb, recs.size());
 
-    MappedTraceSource ma(path), mb(path);
-    expectPrefixContract(ma, mb, recs.size());
-
-    // And across reader kinds: streamed and mapped observe the same
-    // stream.
-    FileTraceSource fs2(path);
-    MappedTraceSource ms2(path);
-    expectPrefixContract(fs2, ms2, recs.size());
+    // And the columnar format's reader observes the same stream.
+    const std::string v2 = tmp.file("v2.trace");
+    {
+        TraceFileWriter w(v2, kTraceFormatV2);
+        w.append(recs.data(), recs.size());
+        w.close();
+    }
+    FileTraceSource va(v2), vb(v2);
+    expectPrefixContract(va, vb, recs.size());
 }
 
 // ----------------------------------------------------------------------
@@ -742,10 +755,8 @@ TEST(TextTraceTest, OpenTraceFileDispatchesOnExtension)
     EXPECT_EQ(r.cls, InstClass::IntAlu);
 
     const std::string bin = writeTrace(tmp, sampleRecords(3));
-    auto mapped = openTraceFile(bin, false);
-    auto streamed = openTraceFile(bin, true);
-    ASSERT_TRUE(mapped->next(r));
-    ASSERT_TRUE(streamed->next(r));
+    auto binary = openTraceFile(bin);
+    ASSERT_TRUE(binary->next(r));
 }
 
 // ----------------------------------------------------------------------
@@ -794,11 +805,11 @@ TEST(TraceBenchmarksTest, RejectsBudgetBeyondTheRecording)
     writeTrace(tmp, sampleRecords(500), "CommBench__tcp.tcp.trace");
     // Budget within (or at) the recorded length is fine; 0 means
     // "replay everything recorded".
-    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, false, 500).size(), 1u);
-    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, false, 0).size(), 1u);
+    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, 500).size(), 1u);
+    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, 0).size(), 1u);
     // Beyond it, replay would come up short of direct interpretation.
     expectReject(
-        [&] { workloads::traceBenchmarks(tmp.dir, false, 501); },
+        [&] { workloads::traceBenchmarks(tmp.dir, 501); },
         "silently diverge");
 }
 
@@ -816,21 +827,21 @@ TEST(TraceBenchmarksTest, ContentStampTracksTraceBytes)
     TmpDir tmp;
     writeTrace(tmp, sampleRecords(100, 1), "CommBench__tcp.tcp.trace");
     uint64_t s1 = 0, s2 = 0, s3 = 0;
-    workloads::traceBenchmarks(tmp.dir, false, 0, &s1);
-    workloads::traceBenchmarks(tmp.dir, false, 0, &s2);
+    workloads::traceBenchmarks(tmp.dir, 0, &s1);
+    workloads::traceBenchmarks(tmp.dir, 0, &s2);
     EXPECT_EQ(s1, s2);      // stable for unchanged contents
     // Re-record the same benchmark with different records: the name
     // is identical but the stamp must move (this is what keys the
     // profile store to trace contents, not the directory path).
     writeTrace(tmp, sampleRecords(100, 2), "CommBench__tcp.tcp.trace");
-    workloads::traceBenchmarks(tmp.dir, false, 0, &s3);
+    workloads::traceBenchmarks(tmp.dir, 0, &s3);
     EXPECT_NE(s1, s3);
 }
 
 // ----------------------------------------------------------------------
 // The load-bearing contract: replayed profiles are byte-identical to
 // interpreting the program directly, for every analyzer, at any
-// batch path, through either reader.
+// batch path, in either format.
 // ----------------------------------------------------------------------
 
 void
@@ -879,24 +890,27 @@ TEST(TraceReplayTest, ReplayedProfilesMatchInterpreterBitForBit)
         expectProfilesIdentical(
             collectMicaProfile(streamed, name, rc), ref);
 
-        MappedTraceSource mapped(path);
-        expectProfilesIdentical(collectMicaProfile(mapped, name, rc),
+        // The columnar format replays the same stream.
+        const std::string v2 = tmp.file("r2.trace");
+        convertTraceFile(path, v2, kTraceFormatV2);
+        FileTraceSource columnar(v2);
+        expectProfilesIdentical(collectMicaProfile(columnar, name, rc),
                                 ref);
 
         // The per-record reference engine path sees the same stream.
         MicaRunnerConfig perRecord = rc;
         perRecord.engineBatch = 0;
-        MappedTraceSource mapped2(path);
+        FileTraceSource streamed2(path);
         expectProfilesIdentical(
-            collectMicaProfile(mapped2, name, perRecord), ref);
+            collectMicaProfile(streamed2, name, perRecord), ref);
 
         // And the HPC characterization.
         direct.reset();
         const auto hpcRef =
             uarch::collectHwProfile(direct, name, rc.maxInsts);
-        ASSERT_TRUE(mapped.reset());
+        ASSERT_TRUE(streamed.reset());
         const auto hpcReplay =
-            uarch::collectHwProfile(mapped, name, rc.maxInsts);
+            uarch::collectHwProfile(streamed, name, rc.maxInsts);
         const auto va = hpcRef.toVector(), vb = hpcReplay.toVector();
         ASSERT_EQ(va.size(), vb.size());
         for (size_t i = 0; i < va.size(); ++i)
@@ -952,10 +966,9 @@ TEST(TraceReplayTest, DatasetFromTracesMatchesDirectAndIsJobsInvariant)
                                 directDs.micaProfiles[d]);
     }
 
-    // jobs=8 and the streamed reader replay the identical dataset.
+    // jobs=8 replays the identical dataset.
     experiments::DatasetConfig replay8 = replay;
     replay8.jobs = 8;
-    replay8.traceStream = true;
     auto replay8Ds = experiments::collectSuiteDataset(replay8);
     ASSERT_EQ(replay8Ds.benchmarks.size(), replayDs.benchmarks.size());
     for (size_t r = 0; r < replayDs.benchmarks.size(); ++r) {
@@ -1019,6 +1032,156 @@ TEST(TraceReplayTest, UnknownSuiteFilterRejectsInsteadOfEmptyDataset)
     cfg.suites = {"CommBnech"};     // typo'd suite
     EXPECT_THROW(experiments::collectSuiteDataset(cfg),
                  std::invalid_argument);
+}
+
+// ----------------------------------------------------------------------
+// One pass: replay jobs verify the payload they read
+// ----------------------------------------------------------------------
+
+/** @return the current value of counter @p name (0 if never made). */
+int64_t
+counterValue(const char *name)
+{
+    const auto snap = obs::snapshotMetrics();
+    const auto it = snap.metrics.find(name);
+    return it == snap.metrics.end() ? 0 : it->second.value;
+}
+
+/** Offset of a byte inside the last record of a v1 trace. */
+uint64_t
+lastRecordByte(const std::string &path)
+{
+    return fs::file_size(path) - 10;
+}
+
+TEST(TraceReplayTest, FlipPastTheBudgetStillFailsTheReplayJob)
+{
+    TmpDir tmp;
+    const std::string traceDir = tmp.dir + "/traces";
+    fs::create_directories(traceDir);
+    // Three full chunks; the budget stops the analyzers inside the
+    // first one, and the flipped byte sits in the last record.
+    const std::string path =
+        writeTrace(tmp, sampleRecords(3 * TraceFileWriter::kChunkRecords),
+                   "traces/CommBench__tcp.tcp.trace");
+    const uint8_t junk = 0xa5;
+    patchBytes(path, lastRecordByte(path), &junk, 1);
+
+    for (unsigned jobs : {1u, 8u}) {
+        experiments::DatasetConfig cfg;
+        cfg.maxInsts = 1000;
+        cfg.traceDir = traceDir;
+        cfg.jobs = jobs;
+        const auto ds = experiments::collectSuiteDataset(cfg);
+        EXPECT_TRUE(ds.benchmarks.empty()) << jobs;
+        EXPECT_TRUE(ds.micaProfiles.empty()) << jobs;
+        ASSERT_EQ(ds.failures.size(), 1u) << jobs;
+        EXPECT_EQ(ds.failures[0].bench, "CommBench/tcp.tcp");
+        EXPECT_NE(ds.failures[0].phase, "scan");
+        EXPECT_NE(ds.failures[0].error.find("payload checksum mismatch"),
+                  std::string::npos)
+            << ds.failures[0].error;
+    }
+}
+
+TEST(TraceReplayTest, CorruptPayloadQuarantinesAtJobTimeWithSameSurvivors)
+{
+    TmpDir tmp;
+    const std::string clean = tmp.dir + "/clean";
+    const std::string dirty = tmp.dir + "/dirty";
+    fs::create_directories(clean);
+    fs::create_directories(dirty);
+    const char *names[] = {"CommBench__tcp.tcp.trace",
+                           "CommBench__frag.frag.trace",
+                           "MiBench__sha.large.trace"};
+    for (size_t i = 0; i < 3; ++i) {
+        const auto recs = sampleRecords(6000, 20 + i);
+        writeTrace(tmp, recs, std::string("clean/") + names[i]);
+        writeTrace(tmp, recs, std::string("dirty/") + names[i]);
+    }
+    const std::string bad = dirty + "/CommBench__frag.frag.trace";
+    const uint8_t junk = 0xa5;
+    patchBytes(bad, 100, &junk, 1);     // inside the first record
+
+    experiments::DatasetConfig ref;
+    ref.maxInsts = 5000;
+    ref.traceDir = clean;
+    const auto refDs = experiments::collectSuiteDataset(ref);
+    ASSERT_EQ(refDs.benchmarks.size(), 3u);
+
+    for (unsigned jobs : {1u, 8u}) {
+        experiments::DatasetConfig cfg = ref;
+        cfg.traceDir = dirty;
+        cfg.jobs = jobs;
+        const int64_t before = counterValue("pipeline.quarantined");
+        const auto ds = experiments::collectSuiteDataset(cfg);
+#if MICA_OBS
+        EXPECT_EQ(counterValue("pipeline.quarantined") - before, 1);
+#else
+        (void)before;
+#endif
+        ASSERT_EQ(ds.failures.size(), 1u) << jobs;
+        EXPECT_EQ(ds.failures[0].bench, "CommBench/frag.frag");
+        EXPECT_EQ(ds.failures[0].phase, "mica");     // job time
+        EXPECT_NE(ds.failures[0].error.find("payload checksum mismatch"),
+                  std::string::npos)
+            << ds.failures[0].error;
+        // The survivors are exactly the clean run's other two rows.
+        ASSERT_EQ(ds.benchmarks.size(), 2u) << jobs;
+        for (size_t r = 0; r < ds.benchmarks.size(); ++r) {
+            const size_t k = refDs.indexOf(ds.benchmarks[r].fullName());
+            ASSERT_NE(k, static_cast<size_t>(-1));
+            expectProfilesIdentical(ds.micaProfiles[r],
+                                    refDs.micaProfiles[k]);
+            EXPECT_EQ(ds.hpcProfiles[r].toVector(),
+                      refDs.hpcProfiles[k].toVector());
+        }
+    }
+}
+
+TEST(TraceReplayTest, ColdSweepReadsEachPayloadTwiceWarmStoreReadsNone)
+{
+#if !MICA_OBS
+    GTEST_SKIP() << "needs the telemetry counters";
+#endif
+    TmpDir tmp;
+    const std::string traceDir = tmp.dir + "/traces";
+    fs::create_directories(traceDir);
+    uint64_t payload = 0;
+    const char *names[] = {"CommBench__tcp.tcp.trace",
+                           "CommBench__frag.frag.trace"};
+    for (size_t i = 0; i < 2; ++i) {
+        // One v1 and one v2 file, both longer than the budget, so
+        // every job stops early and drains the rest.
+        const auto recs = sampleRecords(9000, 40 + i);
+        const std::string path =
+            i == 0 ? writeTrace(tmp, recs, std::string("traces/") + names[i])
+                   : writeTraceV2(tmp, recs,
+                                  std::string("traces/") + names[i]);
+        payload += fs::file_size(path) - 48;
+    }
+
+    for (unsigned jobs : {1u, 4u}) {
+        experiments::DatasetConfig cfg;
+        cfg.maxInsts = 2000;
+        cfg.traceDir = traceDir;
+        cfg.jobs = jobs;
+        cfg.cacheDir = tmp.dir + "/cache" + std::to_string(jobs);
+        int64_t before = counterValue("trace.bytes.read");
+        const auto cold = experiments::collectSuiteDataset(cfg);
+        ASSERT_EQ(cold.micaProfiles.size(), 2u);
+        // One mica job and one hpc job per trace, each reading the
+        // payload once — the scan reads headers only.
+        EXPECT_EQ(counterValue("trace.bytes.read") - before,
+                  static_cast<int64_t>(2 * payload))
+            << "jobs=" << jobs;
+
+        before = counterValue("trace.bytes.read");
+        const auto warm = experiments::collectSuiteDataset(cfg);
+        ASSERT_EQ(warm.micaProfiles.size(), 2u);
+        EXPECT_EQ(counterValue("trace.bytes.read") - before, 0)
+            << "jobs=" << jobs;
+    }
 }
 
 TEST(TraceReplayTest, StoreKeySeparatesTraceAndInterpreterRuns)

@@ -12,7 +12,7 @@
  *   mica index build|query|redundant   persistent similarity index
  *   mica trace record <bench>|<suite>|all   record traces to disk
  *   mica trace convert <src> <dst> rewrite a trace v1 <-> v2
- *   mica trace ls [DIR]            list recorded trace files
+ *   mica trace ls [DIR]            list and fully verify trace files
  *   mica corpus init|ls|profile    sharded out-of-core trace corpora
  *   mica faults ls                 list fault-injection points
  *   mica faults crash-matrix       crash-consistency verification
@@ -39,11 +39,11 @@
  * Every dataset verb also takes --suites=A,B (suite filter),
  * --traces=DIR (profile recorded trace files instead of interpreting
  * the registry kernels — byte-identical profiles, keyed into the
- * store like everything else) and --reader=mmap|stream (trace reader
- * choice; byte-identical either way).
+ * store like everything else).
  *
  * Failure semantics: dataset verbs quarantine failing benchmarks
- * (bad trace files at scan time, throwing profiling jobs) instead of
+ * (trace files with a bad header at scan time; profiling jobs that
+ * throw, a corrupt trace payload included, at job time) instead of
  * aborting, report them on stderr, and exit with the partial-failure
  * code 3; --max-failures=N caps the tolerance. --failpoints=SPEC (or
  * the MICA_FAILPOINTS environment variable) arms deterministic fault
@@ -275,9 +275,9 @@ cmdProfile(const util::CliArgs &args,
         // Same budget guard traceBenchmarks applies to a full sweep.
         uint64_t records = 0;
         if (foundExt == ".trace") {
-            const TraceFileInfo fi = probeTraceFile(found);
-            records = fi.recordCount;
-            src = openTraceFile(found, cfg.traceStream, &fi);
+            auto file = std::make_unique<FileTraceSource>(found);
+            records = file->recordCount();
+            src = std::move(file);
         } else {
             auto recs = readTextTrace(found);
             records = recs.size();
@@ -304,9 +304,14 @@ cmdProfile(const util::CliArgs &args,
         src = std::make_unique<isa::Interpreter>(prog);
     }
 
+    // A replayed trace is read to its end before anything is printed:
+    // its payload checksum is only known there.
+    const bool replayed = !cfg.traceDir.empty();
     if (hpc) {
         const auto p =
             uarch::collectHwProfile(*src, target, cfg.maxInsts);
+        if (replayed)
+            drainSource(*src);
         report::TextTable t({"metric", "value"},
                             {report::Align::Left, report::Align::Right});
         const auto v = p.toVector();
@@ -322,6 +327,8 @@ cmdProfile(const util::CliArgs &args,
     MicaRunnerConfig rc;
     rc.maxInsts = cfg.maxInsts;
     const MicaProfile p = collectMicaProfile(*src, target, rc);
+    if (replayed)
+        drainSource(*src);
     report::TextTable t({"no.", "characteristic", "value"},
                         {report::Align::Right, report::Align::Left,
                          report::Align::Right});
@@ -1150,9 +1157,11 @@ cmdTraceConvert(const util::CliArgs &args)
     if (args.has("format") && version == 0)
         return 2;
     if (version == 0) {
-        const TraceFileInfo fi = probeTraceFile(src);
-        version = fi.version == kTraceFormatV1 ? kTraceFormatV2
-                                               : kTraceFormatV1;
+        // The header names the source format; convertTraceFile
+        // verifies the whole file as it copies.
+        version = FileTraceSource(src).info().version == kTraceFormatV1
+                      ? kTraceFormatV2
+                      : kTraceFormatV1;
     }
     const TraceConvertStats st = convertTraceFile(src, dst, version);
     const double ratio =
@@ -1954,7 +1963,7 @@ constexpr VerbDef kVerbs[] = {
     {"trace",
      "  trace record <bench>|<suite>|all  record traces to --out=DIR\n"
      "  trace convert <src> <dst> rewrite a trace in the other format\n"
-     "  trace ls [DIR]            list recorded trace files\n",
+     "  trace ls [DIR]            list and fully verify trace files\n",
      "  --out=DIR      destination directory (record; default "
      "traces)\n"
      "  --format=v1|v2 on-disk format (record defaults to v2;\n"
@@ -2015,7 +2024,7 @@ usage()
         std::printf("%s", v.usageLines);
     std::printf(
         "dataset verbs also take --suites=A,B --traces=DIR "
-        "--reader=mmap|stream --max-failures=N\n"
+        "--max-failures=N\n"
         "every verb takes --metrics=FILE --trace-out=FILE "
         "--obs-summary --failpoints=SPEC\n"
         "`mica <verb> --help` lists one verb's flags\n"
@@ -2142,13 +2151,13 @@ knownFlags(const std::string &cmd, const std::string &sub)
         cmd == "select" || cmd == "cluster" || cmd == "subset" ||
         cmd == "index" || cmd == "serve" || cmd == "query")
         known.insert(known.end(),
-                     {"suites=", "traces=", "reader=", "max-failures="});
+                     {"suites=", "traces=", "max-failures="});
     if (cmd == "corpus") {
         if (sub == "init")
             known.push_back("shard-size=");
         if (sub == "profile")
-            known.insert(known.end(), {"out=", "rerun", "suites=",
-                                       "reader=", "max-failures="});
+            known.insert(known.end(),
+                         {"out=", "rerun", "suites=", "max-failures="});
     }
     if (cmd == "serve")
         known.insert(known.end(),
@@ -2218,16 +2227,6 @@ main(int argc, char **argv)
     for (const char *flag : {"budget", "jobs", "max-failures"}) {
         if (rejectBadInt(args, cmd.c_str(), flag))
             return 2;
-    }
-    // A typo'd reader must not silently mean "the mmap default".
-    if (args.has("reader")) {
-        const std::string r = args.value("reader");
-        if (r != "mmap" && r != "stream") {
-            std::fprintf(stderr, "mica %s: --reader must be mmap or "
-                                 "stream (got '%s')\n",
-                         cmd.c_str(), r.c_str());
-            return 2;
-        }
     }
     const auto cfg = experiments::configFromArgs(argc, argv);
 
