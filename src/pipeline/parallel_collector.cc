@@ -218,9 +218,10 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
         // two characterizations — same behavior (and cost) as the
         // original serial sweep. Trace-backed entries substitute
         // their replay source for the interpreter; the records are
-        // the same stream either way, so the profiles are too. Each
-        // trace job drains its source, so a budget that stops short
-        // of the recording still has the whole payload verified.
+        // the same stream either way, so the profiles are too. The
+        // mica job drains its source, so a budget that stops short of
+        // the recording still has the whole payload verified before
+        // the benchmark's result counts.
         for (size_t i = 0; i < entries.size(); ++i) {
             const auto &e = *entries[i];
             bool micaJob = true;
@@ -241,7 +242,6 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
                     JobObs jo(e.info.fullName(), "hpc");
                     results[i].hpc = uarch::collectHwProfile(
                         *src, e.info.fullName(), rc.maxInsts);
-                    drainSource(*src);
                 } else {
                     const isa::Program program = e.build();
                     isa::Interpreter interp(program);
@@ -288,9 +288,11 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
         if (e->source) {
             // Trace-backed entries have nothing to share: each job
             // opens its own (cheap) replay source, so the two jobs
-            // never contend on a read cursor. Each job drains its
-            // source before its result counts: the payload checksum
-            // is only known at the end of the trace.
+            // never contend on a read cursor. The mica job drains its
+            // source, since the payload checksum is only known at the
+            // end of the trace; the hpc job need not, because a
+            // benchmark's result is delivered only when both of its
+            // jobs succeed, so a failed drain quarantines both.
             futures.push_back(pool.submit([e, &rc, &results, &prog,
                                            &finishJob, &handleJobError, i] {
                 try {
@@ -316,7 +318,6 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
                         JobObs jo(e->info.fullName(), "hpc");
                         results[i].hpc = uarch::collectHwProfile(
                             *src, e->info.fullName(), rc.maxInsts);
-                        drainSource(*src);
                     }
                     prog.tick(e->info.fullName() + " [hpc]");
                 } catch (...) {

@@ -90,10 +90,13 @@ using ResultFn = std::function<void(const StoredProfile &)>;
  * bit-identical for any worker count: each job is a pure function of
  * its benchmark and @p rc.
  *
- * A trace-backed entry's job drains its source to the end before its
- * result counts, even when rc.maxInsts stopped the analyzers earlier,
- * so the replayed payload is verified (checksum included) and a
- * corrupt trace fails the job instead of reaching a profile.
+ * A trace-backed entry's mica job drains its source to the end, even
+ * when rc.maxInsts stopped the analyzers earlier, so the replayed
+ * payload is verified (checksum included) and a corrupt trace fails
+ * the job instead of reaching a profile. The hpc job reads only what
+ * its budget needs: an entry's result is delivered (and stored) only
+ * when both of its jobs succeed, so a failed drain quarantines the
+ * entry's hpc profile with its mica profile.
  *
  * Failure handling depends on @p policy. Without isolation, the first
  * exception thrown by a job is rethrown on the calling thread after

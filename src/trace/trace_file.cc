@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstddef>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -137,6 +138,33 @@ readChunkBytes(util::CheckedFile &in, void *buf, size_t n,
         if (e.code() == 0)
             throw TraceFileError(path, truncated);
         rethrowTraceIo(e);
+    }
+}
+
+/**
+ * Reject a raw v1 record whose fields would index past an analyzer's
+ * tables: the class must name an InstClass, at most three source
+ * registers fit srcRegs, and the taken byte must be a valid bool.
+ * These are the same rules the v2 column decoder enforces by
+ * construction. The checksum only proves a record wasn't damaged once
+ * the whole payload is read, but analyzers see each chunk as it
+ * arrives, so every lent record is checked here first. The fields are
+ * read as raw bytes — a damaged bool must not be loaded as a bool.
+ */
+void
+checkRawRecords(const InstRecord *recs, size_t n, uint64_t firstOffset,
+                const std::string &path)
+{
+    const auto *bytes = reinterpret_cast<const unsigned char *>(recs);
+    for (size_t i = 0; i < n; ++i) {
+        const unsigned char *r = bytes + i * sizeof(InstRecord);
+        if (r[offsetof(InstRecord, cls)] >= kNumInstClasses ||
+            r[offsetof(InstRecord, numSrcRegs)] > 3 ||
+            r[offsetof(InstRecord, taken)] > 1)
+            throw TraceFileError(path,
+                                 "corrupt record at payload offset " +
+                                     std::to_string(firstOffset +
+                                                    i * sizeof(InstRecord)));
     }
 }
 
@@ -473,6 +501,8 @@ FileTraceSource::refill()
         buf_.resize(count);
         readChunkBytes(in_, buf_.data(), recBytes, path_,
                        "truncated chunk payload");
+        checkRawRecords(buf_.data(), count, offset_ + kChunkHeaderBytes,
+                        path_);
         // Magic and count fold as two 4-byte pieces, exactly as the
         // writer hashed them: FNV's word folding makes piecewise and
         // whole hashing differ.

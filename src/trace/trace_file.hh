@@ -41,7 +41,8 @@
  *
  * Validation happens in the one pass that replays the file: opening
  * checks the header and the exact file size, every chunk is checked
- * (magic, count, remaining payload, and for v2 the column decode) as
+ * (magic, count, remaining payload; for v1 each record's class,
+ * source-register count and taken byte, for v2 the column decode) as
  * it is read, and the payload checksum and record count are folded
  * incrementally and compared when the reader reaches the end of the
  * payload — before it reports end of trace. A corrupt, truncated, or
@@ -246,7 +247,8 @@ class TraceFileWriter
  *
  * Validation rides along with replay. The constructor checks the
  * header and the exact file size; refilling checks each chunk's
- * structure before lending its records; and at the end of the
+ * structure, and every record's fields that analyzers index by,
+ * before lending its records; and at the end of the
  * payload, before next()/nextBatch()/nextSpan() report end of trace,
  * the folded payload checksum and record count must match the
  * header. A consumer that stops early (a budget below the recorded

@@ -13,6 +13,13 @@
  * property is that only TraceFileError escapes and a completed replay
  * yields exactly the header's record count.
  *
+ * Both passes also hold the reader to what analyzers rely on: every
+ * record it lends, even one a later checksum failure disowns, has a
+ * valid class, at most three source registers and a 0/1 taken byte;
+ * and each damaged file is run through collectMicaProfile and
+ * collectHwProfile the way a trace job runs it, so a record the
+ * reader should have rejected shows up under ASan+UBSan.
+ *
  * The iteration count defaults to a short run; set MICA_FUZZ_ITERS
  * for a long one (and MICA_FUZZ_SEED to change the seed), e.g.
  *
@@ -23,6 +30,7 @@
  * property loosened.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -34,9 +42,11 @@
 
 #include <gtest/gtest.h>
 
+#include "mica/runner.hh"
 #include "trace/columnar.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
+#include "uarch/hpc_runner.hh"
 
 namespace mica
 {
@@ -299,10 +309,24 @@ sameCanonical(const InstRecord &a, const InstRecord &b)
            x.target == y.target;
 }
 
+/**
+ * @return true when @p r's analyzer-indexed fields are in range; the
+ * taken byte is read raw, since a damaged bool must not be loaded.
+ */
+bool
+wellFormed(const InstRecord &r)
+{
+    const auto *b = reinterpret_cast<const unsigned char *>(&r);
+    return b[offsetof(InstRecord, cls)] < kNumInstClasses &&
+           b[offsetof(InstRecord, numSrcRegs)] <= 3 &&
+           b[offsetof(InstRecord, taken)] <= 1;
+}
+
 /** Outcome of one full replay of a file. */
 struct Replay
 {
     bool threw = false;
+    bool lentMalformed = false;        ///< a lent record was out of range
     std::string error;
     std::vector<InstRecord> records;   ///< empty whenever threw
 };
@@ -317,8 +341,11 @@ replayFile(const std::string &path)
         InstRecord buf[64];
         const InstRecord *span = nullptr;
         size_t n;
-        while ((n = src->nextSpan(span, buf, 64)) != 0)
+        while ((n = src->nextSpan(span, buf, 64)) != 0) {
+            for (size_t i = 0; i < n; ++i)
+                r.lentMalformed |= !wellFormed(span[i]);
             got.insert(got.end(), span, span + n);
+        }
     } catch (const TraceFileError &e) {
         r.threw = true;
         r.error = e.what();
@@ -326,6 +353,25 @@ replayFile(const std::string &path)
     }
     r.records = std::move(got);
     return r;
+}
+
+/**
+ * Run both characterizations over @p path as a trace job does, each
+ * on its own reader; a TraceFileError fails the job and is fine.
+ */
+void
+analyzeFile(const std::string &path)
+{
+    try {
+        auto src = openTraceFile(path);
+        (void)collectMicaProfile(*src, "fuzz");
+    } catch (const TraceFileError &) {
+    }
+    try {
+        auto src = openTraceFile(path);
+        (void)uarch::collectHwProfile(*src, "fuzz");
+    } catch (const TraceFileError &) {
+    }
 }
 
 void
@@ -383,6 +429,17 @@ fuzzOne(const std::string &path, uint32_t version,
     Replay r;
     try {
         r = replayFile(path);
+    } catch (const std::exception &e) {
+        FAIL() << "iteration " << iter << ": non-trace exception "
+               << e.what();
+    }
+    // Checked before the analyzers run: a malformed record would make
+    // them index out of bounds.
+    ASSERT_FALSE(r.lentMalformed)
+        << "iteration " << iter << ": the reader lent a record whose "
+        << "class, source count or taken byte is out of range";
+    try {
+        analyzeFile(path);
     } catch (const std::exception &e) {
         FAIL() << "iteration " << iter << ": non-trace exception "
                << e.what();

@@ -11,6 +11,7 @@
  * byte-identical to interpreting the program directly.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -508,6 +509,46 @@ TEST(TraceFileTest, ReplayReportsEndOfTraceOnlyAfterTheChecksum)
     for (size_t i = 0; i < recs.size(); ++i)
         ASSERT_TRUE(src.next(r)) << i;
     expectReject([&] { src.next(r); }, "payload checksum mismatch");
+}
+
+TEST(TraceFileTest, RejectsOutOfRangeRecordFieldsBeforeLendingThem)
+{
+    // A v1 record's class, source-register count and taken byte index
+    // analyzer tables, so a damaged one is rejected when its chunk is
+    // read — the checksum would only catch it at the end of the
+    // payload, after the analyzers had seen it.
+    TmpDir tmp;
+    const size_t chunk = TraceFileWriter::kChunkRecords;
+    const auto recs = sampleRecords(chunk + 10);
+    struct Case
+    {
+        size_t record;
+        size_t field;
+        uint8_t value;
+    };
+    const Case cases[] = {
+        {0, offsetof(InstRecord, cls), 0xff},
+        {0, offsetof(InstRecord, cls), kNumInstClasses},
+        {0, offsetof(InstRecord, numSrcRegs), 4},
+        {0, offsetof(InstRecord, taken), 2},
+        {chunk + 3, offsetof(InstRecord, cls), 0x80},
+    };
+    for (const Case &c : cases) {
+        const std::string path = writeTrace(tmp, recs);
+        // Payload offset of the record: its chunk header, every
+        // earlier chunk, and the records before it in its chunk.
+        const uint64_t chunks = c.record / chunk + 1;
+        const uint64_t at = chunks * 8 + c.record * sizeof(InstRecord);
+        patchBytes(path, 48 + at + c.field, &c.value, 1);
+        const std::string want =
+            "corrupt record at payload offset " + std::to_string(at);
+        expectReject([&] { probeTraceFile(path); }, want);
+        FileTraceSource src(path);
+        InstRecord r;
+        for (size_t i = 0; i < c.record / chunk * chunk; ++i)
+            ASSERT_TRUE(src.next(r)) << i;
+        expectReject([&] { src.next(r); }, want);
+    }
 }
 
 TEST(TraceFileTest, RejectsCorruptChunkHeaderAndCountMismatch)
@@ -1100,8 +1141,7 @@ TEST(TraceReplayTest, CorruptPayloadQuarantinesAtJobTimeWithSameSurvivors)
         writeTrace(tmp, recs, std::string("dirty/") + names[i]);
     }
     const std::string bad = dirty + "/CommBench__frag.frag.trace";
-    const uint8_t junk = 0xa5;
-    patchBytes(bad, 100, &junk, 1);     // inside the first record
+    const std::string good = clean + "/CommBench__frag.frag.trace";
 
     experiments::DatasetConfig ref;
     ref.maxInsts = 5000;
@@ -1109,37 +1149,80 @@ TEST(TraceReplayTest, CorruptPayloadQuarantinesAtJobTimeWithSameSurvivors)
     const auto refDs = experiments::collectSuiteDataset(ref);
     ASSERT_EQ(refDs.benchmarks.size(), 3u);
 
-    for (unsigned jobs : {1u, 8u}) {
-        experiments::DatasetConfig cfg = ref;
-        cfg.traceDir = dirty;
-        cfg.jobs = jobs;
-        const int64_t before = counterValue("pipeline.quarantined");
-        const auto ds = experiments::collectSuiteDataset(cfg);
+    // Damage inside the first record: a byte the checksum catches at
+    // the end of the payload, and bytes the analyzers index by (class,
+    // source-register count, taken), which must be rejected before
+    // any analyzer sees them.
+    struct Damage
+    {
+        uint64_t offset;
+        uint8_t value;
+        const char *error;
+    };
+    const Damage damages[] = {
+        {100, 0xa5, "payload checksum mismatch"},
+        {56 + offsetof(InstRecord, cls), 0xff,
+         "corrupt record at payload offset 8"},
+        {56 + offsetof(InstRecord, numSrcRegs), 0xff,
+         "corrupt record at payload offset 8"},
+        {56 + offsetof(InstRecord, taken), 0x02,
+         "corrupt record at payload offset 8"},
+    };
+    for (const Damage &d : damages) {
+        fs::copy_file(good, bad, fs::copy_options::overwrite_existing);
+        patchBytes(bad, d.offset, &d.value, 1);
+        for (unsigned jobs : {1u, 8u}) {
+            experiments::DatasetConfig cfg = ref;
+            cfg.traceDir = dirty;
+            cfg.jobs = jobs;
+            const int64_t before = counterValue("pipeline.quarantined");
+            const auto ds = experiments::collectSuiteDataset(cfg);
 #if MICA_OBS
-        EXPECT_EQ(counterValue("pipeline.quarantined") - before, 1);
+            EXPECT_EQ(counterValue("pipeline.quarantined") - before, 1);
 #else
-        (void)before;
+            (void)before;
 #endif
-        ASSERT_EQ(ds.failures.size(), 1u) << jobs;
-        EXPECT_EQ(ds.failures[0].bench, "CommBench/frag.frag");
-        EXPECT_EQ(ds.failures[0].phase, "mica");     // job time
-        EXPECT_NE(ds.failures[0].error.find("payload checksum mismatch"),
-                  std::string::npos)
-            << ds.failures[0].error;
-        // The survivors are exactly the clean run's other two rows.
-        ASSERT_EQ(ds.benchmarks.size(), 2u) << jobs;
-        for (size_t r = 0; r < ds.benchmarks.size(); ++r) {
-            const size_t k = refDs.indexOf(ds.benchmarks[r].fullName());
-            ASSERT_NE(k, static_cast<size_t>(-1));
-            expectProfilesIdentical(ds.micaProfiles[r],
-                                    refDs.micaProfiles[k]);
-            EXPECT_EQ(ds.hpcProfiles[r].toVector(),
-                      refDs.hpcProfiles[k].toVector());
+            ASSERT_EQ(ds.failures.size(), 1u) << jobs;
+            EXPECT_EQ(ds.failures[0].bench, "CommBench/frag.frag");
+            EXPECT_EQ(ds.failures[0].phase, "mica");     // job time
+            EXPECT_NE(ds.failures[0].error.find(d.error), std::string::npos)
+                << ds.failures[0].error;
+            // The survivors are exactly the clean run's other two rows.
+            ASSERT_EQ(ds.benchmarks.size(), 2u) << jobs;
+            for (size_t r = 0; r < ds.benchmarks.size(); ++r) {
+                const size_t k = refDs.indexOf(ds.benchmarks[r].fullName());
+                ASSERT_NE(k, static_cast<size_t>(-1));
+                expectProfilesIdentical(ds.micaProfiles[r],
+                                        refDs.micaProfiles[k]);
+                EXPECT_EQ(ds.hpcProfiles[r].toVector(),
+                          refDs.hpcProfiles[k].toVector());
+            }
         }
     }
 }
 
-TEST(TraceReplayTest, ColdSweepReadsEachPayloadTwiceWarmStoreReadsNone)
+/** Bytes of a trace's first chunk, header included (v1 or v2). */
+uint64_t
+firstChunkBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    char head[48 + 32] = {};
+    in.read(head, sizeof(head));
+    uint32_t version = 0, count = 0;
+    std::memcpy(&version, head + 8, sizeof(version));
+    std::memcpy(&count, head + 48 + 4, sizeof(count));
+    if (version == kTraceFormatV1)
+        return 8 + uint64_t(count) * sizeof(InstRecord);
+    uint64_t bytes = 32;
+    for (size_t c = 0; c < 6; ++c) {
+        uint32_t col = 0;
+        std::memcpy(&col, head + 48 + 8 + 4 * c, sizeof(col));
+        bytes += col;
+    }
+    return bytes;
+}
+
+TEST(TraceReplayTest, ColdSweepDrainsEachPayloadOnceWarmStoreReadsNone)
 {
 #if !MICA_OBS
     GTEST_SKIP() << "needs the telemetry counters";
@@ -1147,40 +1230,47 @@ TEST(TraceReplayTest, ColdSweepReadsEachPayloadTwiceWarmStoreReadsNone)
     TmpDir tmp;
     const std::string traceDir = tmp.dir + "/traces";
     fs::create_directories(traceDir);
-    uint64_t payload = 0;
+    uint64_t payload = 0, firstChunks = 0;
     const char *names[] = {"CommBench__tcp.tcp.trace",
                            "CommBench__frag.frag.trace"};
     for (size_t i = 0; i < 2; ++i) {
-        // One v1 and one v2 file, both longer than the budget, so
-        // every job stops early and drains the rest.
+        // One v1 file of three chunks and one single-chunk v2 file.
         const auto recs = sampleRecords(9000, 40 + i);
         const std::string path =
             i == 0 ? writeTrace(tmp, recs, std::string("traces/") + names[i])
                    : writeTraceV2(tmp, recs,
                                   std::string("traces/") + names[i]);
         payload += fs::file_size(path) - 48;
+        firstChunks += firstChunkBytes(path);
     }
 
-    for (unsigned jobs : {1u, 4u}) {
-        experiments::DatasetConfig cfg;
-        cfg.maxInsts = 2000;
-        cfg.traceDir = traceDir;
-        cfg.jobs = jobs;
-        cfg.cacheDir = tmp.dir + "/cache" + std::to_string(jobs);
-        int64_t before = counterValue("trace.bytes.read");
-        const auto cold = experiments::collectSuiteDataset(cfg);
-        ASSERT_EQ(cold.micaProfiles.size(), 2u);
-        // One mica job and one hpc job per trace, each reading the
-        // payload once — the scan reads headers only.
-        EXPECT_EQ(counterValue("trace.bytes.read") - before,
-                  static_cast<int64_t>(2 * payload))
-            << "jobs=" << jobs;
+    for (uint64_t budget : {uint64_t{0}, uint64_t{2000}}) {
+        for (unsigned jobs : {1u, 4u}) {
+            experiments::DatasetConfig cfg;
+            cfg.maxInsts = budget;
+            cfg.traceDir = traceDir;
+            cfg.jobs = jobs;
+            cfg.cacheDir = tmp.dir + "/cache" + std::to_string(budget) +
+                           "_" + std::to_string(jobs);
+            int64_t before = counterValue("trace.bytes.read");
+            const auto cold = experiments::collectSuiteDataset(cfg);
+            ASSERT_EQ(cold.micaProfiles.size(), 2u);
+            // The scan reads headers only. A whole-trace budget has
+            // both jobs read every payload; a budget inside the first
+            // chunk has the mica job drain the payload once while the
+            // hpc job stops after the first chunk.
+            const uint64_t want =
+                budget == 0 ? 2 * payload : payload + firstChunks;
+            EXPECT_EQ(counterValue("trace.bytes.read") - before,
+                      static_cast<int64_t>(want))
+                << "budget=" << budget << " jobs=" << jobs;
 
-        before = counterValue("trace.bytes.read");
-        const auto warm = experiments::collectSuiteDataset(cfg);
-        ASSERT_EQ(warm.micaProfiles.size(), 2u);
-        EXPECT_EQ(counterValue("trace.bytes.read") - before, 0)
-            << "jobs=" << jobs;
+            before = counterValue("trace.bytes.read");
+            const auto warm = experiments::collectSuiteDataset(cfg);
+            ASSERT_EQ(warm.micaProfiles.size(), 2u);
+            EXPECT_EQ(counterValue("trace.bytes.read") - before, 0)
+                << "budget=" << budget << " jobs=" << jobs;
+        }
     }
 }
 
